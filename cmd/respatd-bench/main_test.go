@@ -64,6 +64,21 @@ func TestClosedLoopSLO(t *testing.T) {
 	if _, ok := rep.ServerTiming["decode"]; !ok {
 		t.Fatalf("no decode stage in server-timing attribution: %v", rep.ServerTiming)
 	}
+	// Every cold computation's singleflight is attributed: its leader
+	// reports a flight_wait span before the gate ("spawn") and one after
+	// the compute ("handoff"), so flight_wait entries are at least twice
+	// the cold_compute ones.
+	cold, flight := rep.ServerTiming["cold_compute"], rep.ServerTiming["flight_wait"]
+	if cold.Count == 0 || flight.Count < 2*cold.Count {
+		t.Fatalf("%d flight_wait entries for %d cold computes: %v", flight.Count, cold.Count, rep.ServerTiming)
+	}
+	var staged float64
+	for name, st := range rep.ServerTiming {
+		if name != "app" {
+			staged += st.TotalMs
+		}
+	}
+	t.Logf("named stages cover %.3f of app time", staged/app.TotalMs)
 }
 
 // TestParseServerTiming pins the header subset respatd emits.

@@ -12,8 +12,7 @@ import (
 // fixed (costs, rates) configuration. It validates the configuration
 // once at construction and caches the W-independent invariants of every
 // Theorem 4 layout it sees, so planners that probe many pattern lengths
-// at the same (n, m) — e.g. the golden-section search of
-// optimize.OptimizeW — pay for validation and layout construction once
+// at the same (n, m) — e.g. the W search of optimize.OptimizeW — pay for validation and layout construction once
 // and for ≤ 2 distinct chunk-size evaluations per probe instead of
 // O(m).
 //

@@ -1,7 +1,12 @@
 package harness
 
 import (
+	"bytes"
+	"encoding/csv"
 	"math"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -249,5 +254,61 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 	if f := Full(); f.Patterns != 1000 || f.Runs != 1000 {
 		t.Error("Full should be the paper scale")
+	}
+}
+
+// TestAblationMatchesWholeBoxSearch compares the ablation artefact with
+// testdata/ablation_whole_box.csv, the one the exact planner produced
+// when it searched the whole (n, m) box with a golden-section W search.
+// The descent planner with Brent's W search must reproduce it except
+// in the rounded exact-W* column, which may move by at most 1 s: the
+// exact overhead is flat at its minimum, so W* is determined only to
+// about 1e-6 relative.
+func TestAblationMatchesWholeBoxSearch(t *testing.T) {
+	rows, err := Ablation(platform.Table2(), core.Kinds(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := RenderAblation(rows).WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(filepath.Join("testdata", "ablation_whole_box.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want, err := csv.NewReader(f).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d rows, reference %d", len(got), len(want))
+	}
+	const exactW = 3 // the "W* exact" column
+	if want[0][exactW] != "W* exact" {
+		t.Fatalf("reference header %v", want[0])
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("row %d: %v, reference %v", i, got[i], want[i])
+		}
+		for j := range want[i] {
+			if got[i][j] == want[i][j] {
+				continue
+			}
+			if i > 0 && j == exactW {
+				g, gerr := strconv.Atoi(got[i][j])
+				w, werr := strconv.Atoi(want[i][j])
+				if gerr == nil && werr == nil && g-w <= 1 && w-g <= 1 {
+					continue
+				}
+			}
+			t.Errorf("row %d (%s %s) column %q: %q, reference %q", i, got[i][0], got[i][1], want[0][j], got[i][j], want[i][j])
+		}
 	}
 }

@@ -40,6 +40,13 @@ const (
 	StageCacheLookup
 	// StageTable is a plan-table interpolation attempt.
 	StageTable
+	// StageFlightWait is a request's wait on a cold-plan singleflight
+	// outside the flight's own gate wait and compute: for the request
+	// that started the flight, the flight's set-up and goroutine start
+	// ("spawn") and, after the computation, the cache insert and the
+	// wake-up ("handoff"); for a request coalesced onto another's
+	// flight, the whole wait ("coalesced").
+	StageFlightWait
 	// StageGateWait is time spent acquiring a cold-plan worker slot.
 	StageGateWait
 	// StageColdCompute is the planner computation itself.
@@ -54,7 +61,7 @@ const (
 )
 
 var stageNames = [StageCount]string{
-	"decode", "cache_lookup", "table", "gate_wait",
+	"decode", "cache_lookup", "table", "flight_wait", "gate_wait",
 	"cold_compute", "peer_forward", "encode",
 }
 
@@ -72,6 +79,7 @@ type Span struct {
 	StartNS int64  `json:"startNs"`
 	DurNS   int64  `json:"durNs"`
 	// Outcome labels how the stage ended: "hit"/"miss" for lookups,
+	// "spawn"/"handoff"/"coalesced" for singleflight waits,
 	// "admitted"/"shed"/"cancelled" for the gate, "ok"/"error"/
 	// "degraded" for computations. Empty when the stage has only one
 	// way to end.

@@ -3,6 +3,7 @@
 //
 //   - an exact-model planner that minimises the renewal-equation
 //     expected overhead (no first-order truncation) over W, n and m,
+//     descending from the first-order optimum,
 //     used to quantify how close the paper's first-order optimum is to
 //     the true optimum (an ablation the paper argues analytically);
 //   - a brute-force verification-placement search on a discretised
@@ -30,6 +31,9 @@ type ExactPlan struct {
 	// Overhead is the exact expected overhead E(P)/W - 1 at the optimum.
 	Overhead float64
 	Pattern  core.Pattern
+	// Pairs and Probes count the search's work: the (n, m) pairs whose
+	// W was optimised and the exact-model evaluations made.
+	Pairs, Probes int
 }
 
 // String renders the plan compactly.
@@ -38,32 +42,43 @@ func (p ExactPlan) String() string {
 }
 
 // OptimizeW minimises the exact expected overhead of family k at fixed
-// (n, m) over the pattern length W by golden-section search. The
-// search bracket is centred on the first-order W* and spans two orders
-// of magnitude each way.
+// (n, m) over the pattern length W. Brent's method searches a bracket
+// four times the first-order W* of (n, m) each way; when the minimum
+// lands on that bracket's edge, a golden-section search over two
+// orders of magnitude each way takes over.
 func OptimizeW(k core.Kind, c core.Costs, r core.Rates, n, m int) (w, overhead float64, err error) {
 	ev, err := analytic.NewEvaluator(c, r)
 	if err != nil {
 		return 0, 0, err
 	}
-	return optimizeW(ev, k, n, m)
+	w, overhead, _, err = optimizeW(ev, k, n, m)
+	return w, overhead, err
 }
 
-// optimizeW is OptimizeW on a shared evaluator: the inner golden-section
-// probes only rescale W against the evaluator's cached (n, m) layout.
-func optimizeW(ev *analytic.Evaluator, k core.Kind, n, m int) (w, overhead float64, err error) {
+// wTol is the relative tolerance of the W search. The exact overhead
+// is flat at its minimum (quadratic in the relative distance to W*),
+// so W is only meaningful to about the square root of the float64
+// resolution of the overhead; stopping at this tolerance costs less
+// overhead than that resolution.
+const wTol = 1e-8
+
+// optimizeW is OptimizeW on a shared evaluator: every probe only
+// rescales W against the evaluator's cached (n, m) layout. probes
+// counts the evaluator calls.
+func optimizeW(ev *analytic.Evaluator, k core.Kind, n, m int) (w, overhead float64, probes int, err error) {
 	c, r := ev.Costs(), ev.Rates()
 	if r.Total() == 0 {
-		return 0, 0, analytic.ErrDegenerate
+		return 0, 0, 0, analytic.ErrDegenerate
 	}
 	oef := analytic.EF(k, c, n, m)
 	orw := analytic.RW(k, c, r, n, m)
 	guess := xmath.SqrtRatio(oef, orw)
 	if math.IsInf(guess, 1) || guess <= 0 {
-		return 0, 0, fmt.Errorf("optimize: no finite period guess for %v", k)
+		return 0, 0, 0, fmt.Errorf("optimize: no finite period guess for %v", k)
 	}
 	var evalErr error
 	h := func(w float64) float64 {
+		probes++
 		h, err := ev.EvalLayoutOverhead(k, n, m, w)
 		if err != nil {
 			evalErr = err
@@ -71,16 +86,19 @@ func optimizeW(ev *analytic.Evaluator, k core.Kind, n, m int) (w, overhead float
 		}
 		return h
 	}
-	w, overhead = xmath.MinimizeGolden(h, guess/100, guess*100, 1e-10)
-	if evalErr != nil {
-		return 0, 0, evalErr
+	w, overhead, interior := xmath.MinimizeBrent(h, guess/4, guess, guess*4, wTol)
+	if !interior && evalErr == nil {
+		w, overhead = xmath.MinimizeGolden(h, guess/100, guess*100, 1e-10)
 	}
-	return w, overhead, nil
+	if evalErr != nil {
+		return 0, 0, probes, evalErr
+	}
+	return w, overhead, probes, nil
 }
 
-// Exact finds the exact-model optimal plan of family k by searching the
-// integer (n, m) space (convex ternary search seeded by the first-order
-// optimum) with the inner W optimised by OptimizeW.
+// Exact finds the exact-model optimal plan of family k by a nested
+// descent over the integer (n, m) space from the first-order optimum,
+// with the inner W optimised by OptimizeW.
 func Exact(k core.Kind, c core.Costs, r core.Rates) (ExactPlan, error) {
 	first, err := analytic.Optimal(k, c, r)
 	if err != nil {
@@ -112,15 +130,20 @@ func ExactWithEvaluator(ev *analytic.Evaluator, first analytic.Plan) (ExactPlan,
 
 // ExactWithEvaluatorCtx is ExactWithEvaluator under a cancellation
 // context: when ctx is cancelled or expires the integer (n, m) search
-// aborts — within one golden-section leaf — and returns ctx's error,
-// never a partial plan (there is a final ctx check before the plan is
+// aborts — within one W search — and returns ctx's error, never a
+// partial plan (there is a final ctx check before the plan is
 // assembled). The planning service threads each request's deadline
 // through here so an abandoned cold plan stops searching.
 func ExactWithEvaluatorCtx(ctx context.Context, ev *analytic.Evaluator, first analytic.Plan) (ExactPlan, error) {
 	return exactFrom(ctx, ev, first)
 }
 
-// exactFrom runs the integer (n, m) search on a shared evaluator.
+// exactFrom runs the integer (n, m) search on a shared evaluator: a
+// nested unit-step descent (xmath.DescendNested) from the first-order
+// (n*, m*) inside the box n ≤ 3n*+4, m ≤ 3m*+4. Theorems 2-4 put the
+// exact optimum next to the rounded first-order one, so the descent
+// visits a handful of (n, m) pairs where a search of the whole box
+// visits about a hundred.
 func exactFrom(ctx context.Context, ev *analytic.Evaluator, first analytic.Plan) (ExactPlan, error) {
 	k, c := first.Kind, ev.Costs()
 	maxN, maxM := 1, 1
@@ -136,6 +159,7 @@ func exactFrom(ctx context.Context, ev *analytic.Evaluator, first analytic.Plan)
 		err  error
 	}
 	memo := make(map[[2]int]eval)
+	probes := 0
 	at := func(n, m int) eval {
 		key := [2]int{n, m}
 		if e, ok := memo[key]; ok {
@@ -144,33 +168,23 @@ func exactFrom(ctx context.Context, ev *analytic.Evaluator, first analytic.Plan)
 		if err := ctx.Err(); err != nil {
 			return eval{err: err}
 		}
-		w, h, err := optimizeW(ev, k, n, m)
+		w, h, p, err := optimizeW(ev, k, n, m)
+		probes += p
 		e := eval{w: w, h: h, err: err}
 		memo[key] = e
 		return e
 	}
-	bestM := func(n int) (int, eval) {
-		m, _ := xmath.MinimizeConvexInt(func(m int) float64 {
-			e := at(n, m)
-			if e.err != nil {
-				return math.Inf(1)
-			}
+	n, m, _ := xmath.DescendNested(func(n, m int) float64 {
+		if e := at(n, m); e.err == nil {
 			return e.h
-		}, 1, maxM)
-		return m, at(n, m)
-	}
-	n, _ := xmath.MinimizeConvexInt(func(n int) float64 {
-		_, e := bestM(n)
-		if e.err != nil {
-			return math.Inf(1)
 		}
-		return e.h
-	}, 1, maxN)
-	m, best := bestM(n)
+		return math.Inf(1)
+	}, first.N, first.M, maxN, maxM)
+	best := at(n, m)
 	if best.err != nil {
 		return ExactPlan{}, best.err
 	}
-	// A cancelled search parked leaves at +Inf, so its argmin is not
+	// A cancelled search parked pairs at +Inf, so its argmin is not
 	// the true one; return the cancellation, never a partial plan.
 	if err := ctx.Err(); err != nil {
 		return ExactPlan{}, err
@@ -179,7 +193,8 @@ func exactFrom(ctx context.Context, ev *analytic.Evaluator, first analytic.Plan)
 	if err != nil {
 		return ExactPlan{}, err
 	}
-	return ExactPlan{Kind: k, N: n, M: m, W: best.w, Overhead: best.h, Pattern: pat}, nil
+	return ExactPlan{Kind: k, N: n, M: m, W: best.w, Overhead: best.h, Pattern: pat,
+		Pairs: len(memo), Probes: probes}, nil
 }
 
 // Comparison quantifies the gap between the first-order plan and the

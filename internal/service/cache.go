@@ -69,6 +69,11 @@ type flight struct {
 	refs   int // interested waiters; guarded by the shard mutex
 	resp   []byte
 	err    error
+	// tr is the leader's trace and handoff its flight_wait span from
+	// the end of the computation to the leader's wake-up: run starts
+	// it before closing done, the leader ends it after done.
+	tr      *obs.Trace
+	handoff obs.Timing
 }
 
 // newCache builds a cache with shardCount shards (rounded up to a power
@@ -141,6 +146,7 @@ func (c *cache) get(key Key) ([]byte, bool) {
 // returned bytes are shared and must be treated as read-only.
 func (c *cache) getOrCompute(ctx context.Context, key Key, compute func(context.Context) ([]byte, error)) ([]byte, error) {
 	s := c.shard(key)
+	tr := obs.FromContext(ctx)
 	for {
 		s.mu.Lock()
 		if el, ok := s.entries[key]; ok {
@@ -155,7 +161,10 @@ func (c *cache) getOrCompute(ctx context.Context, key Key, compute func(context.
 				f.refs++
 				s.mu.Unlock()
 				c.m.Coalesced.Add(1)
-				return f.wait(ctx, s)
+				fw := tr.Begin(obs.StageFlightWait)
+				resp, err := f.wait(ctx, s)
+				fw.End("coalesced")
+				return resp, err
 			}
 			// Dying flight: every waiter abandoned and cancellation is
 			// in progress. Joining it would only inherit the stale
@@ -174,19 +183,30 @@ func (c *cache) getOrCompute(ctx context.Context, key Key, compute func(context.
 		// goroutine land on the request that started it. Spans arriving
 		// after that trace finished — the leader abandoned — are
 		// dropped by the trace itself.
-		fctx, cancel := context.WithCancel(obs.NewContext(context.Background(), obs.FromContext(ctx)))
-		f := &flight{done: make(chan struct{}), cancel: cancel, refs: 1}
+		spawn := tr.Begin(obs.StageFlightWait)
+		fctx, cancel := context.WithCancel(obs.NewContext(context.Background(), tr))
+		f := &flight{done: make(chan struct{}), cancel: cancel, refs: 1, tr: tr}
 		s.inflight[key] = f
 		s.mu.Unlock()
 		c.m.Misses.Add(1)
-		go c.run(s, key, f, fctx, compute)
-		return f.wait(ctx, s)
+		go c.run(s, key, f, fctx, spawn, compute)
+		resp, err := f.wait(ctx, s)
+		select {
+		case <-f.done: // handoff was set before done closed
+			f.handoff.End("handoff")
+		default: // abandoned: the flight is still running
+		}
+		return resp, err
 	}
 }
 
 // run executes one flight's computation and publishes the outcome.
-func (c *cache) run(s *shard, key Key, f *flight, fctx context.Context, compute func(context.Context) ([]byte, error)) {
+// spawn is the leader's flight_wait span since it began setting up the
+// flight.
+func (c *cache) run(s *shard, key Key, f *flight, fctx context.Context, spawn obs.Timing, compute func(context.Context) ([]byte, error)) {
+	spawn.End("spawn")
 	resp, err := compute(fctx)
+	f.handoff = f.tr.Begin(obs.StageFlightWait)
 	f.cancel() // release the flight context's resources
 	s.mu.Lock()
 	f.resp, f.err = resp, err

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"respat/internal/core"
 	"respat/internal/obs"
@@ -305,5 +306,81 @@ func TestTracedHotPathZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("traced cache hit allocates: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestFlightWaitStage: a cold exact plan's trace accounts for the
+// singleflight around the computation as flight_wait spans that do not
+// overlap the gate wait or the compute. The request that starts the
+// flight records the flight goroutine's start ("spawn") before
+// gate_wait, and the cache insert and wake-up ("handoff") after
+// cold_compute; a request coalesced onto the flight records its whole
+// wait ("coalesced") and no gate or compute spans of its own.
+func TestFlightWaitStage(t *testing.T) {
+	release := make(chan struct{})
+	svc := tracedService(Config{ColdFault: func(context.Context) error { <-release; return nil }})
+	h := svc.Handler()
+	const body = `{"kind":"PDMV","platform":"Hera"}`
+	var wg sync.WaitGroup
+	codes := make([]int, 2)
+	send := func(i int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			codes[i] = do(h, http.MethodPost, "/v1/plan/exact", body).Code
+		}()
+	}
+	waitUntil := func(what string, cond func() bool) {
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	send(0)
+	waitUntil("the leader's miss", func() bool { return svc.metrics.Misses.Load() == 1 })
+	send(1)
+	waitUntil("the coalesced request", func() bool { return svc.metrics.Coalesced.Load() == 1 })
+	close(release)
+	wg.Wait()
+	if codes[0] != http.StatusOK || codes[1] != http.StatusOK {
+		t.Fatalf("status codes %v, want both 200", codes)
+	}
+
+	recs := svc.Tracer().Traces()
+	if len(recs) != 2 {
+		t.Fatalf("%d traces, want 2", len(recs))
+	}
+	for _, rec := range recs {
+		var waits []obs.Span
+		byStage := map[string]obs.Span{}
+		for _, sp := range rec.Spans {
+			if sp.Stage == "flight_wait" {
+				waits = append(waits, sp)
+			} else {
+				byStage[sp.Stage] = sp
+			}
+		}
+		gate, leader := byStage["gate_wait"]
+		if !leader {
+			if len(waits) != 1 || waits[0].Outcome != "coalesced" {
+				t.Errorf("coalesced trace: flight_wait spans %+v, want one \"coalesced\"", waits)
+			}
+			if _, ok := byStage["cold_compute"]; ok {
+				t.Errorf("coalesced trace has a cold_compute span: %+v", rec.Spans)
+			}
+			continue
+		}
+		cold := byStage["cold_compute"]
+		if len(waits) != 2 || waits[0].Outcome != "spawn" || waits[1].Outcome != "handoff" {
+			t.Fatalf("leader trace: flight_wait spans %+v, want \"spawn\" then \"handoff\"", waits)
+		}
+		end := func(sp obs.Span) int64 { return sp.StartNS + sp.DurNS }
+		spawn, handoff := waits[0], waits[1]
+		if end(spawn) > gate.StartNS || end(gate) > cold.StartNS || end(cold) > handoff.StartNS {
+			t.Errorf("leader spans overlap: spawn %+v, gate_wait %+v, cold_compute %+v, handoff %+v", spawn, gate, cold, handoff)
+		}
 	}
 }

@@ -209,18 +209,22 @@ func hitMiss(ok bool) string {
 // planCold is the miss path of Plan, split out so the hot path does not
 // pay for the compute closure.
 func (s *Service) planCold(ctx context.Context, key Key, kind core.Kind, costs core.Costs, rates core.Rates) ([]byte, error) {
-	return s.cache.getOrCompute(ctx, key, func(context.Context) ([]byte, error) {
+	return s.cache.getOrCompute(ctx, key, func(fctx context.Context) ([]byte, error) {
+		cc := obs.FromContext(fctx).Begin(obs.StageColdCompute)
 		plan, err := analytic.Optimal(kind, costs, rates)
 		if err != nil {
+			cc.End("error")
 			return nil, err
 		}
-		return marshalResponse(PlanResponse{
+		resp, err := marshalResponse(PlanResponse{
 			Kind:     plan.Kind.String(),
 			N:        plan.N,
 			M:        plan.M,
 			W:        plan.W,
 			Overhead: plan.Overhead,
 		})
+		cc.End(errOutcome(err))
+		return resp, err
 	})
 }
 

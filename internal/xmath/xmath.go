@@ -114,6 +114,158 @@ func MinimizeGolden(f func(float64) float64, a, b, tol float64) (x, fx float64) 
 	return x, f(x)
 }
 
+const cGold = 1 - invPhi // (3-sqrt(5))/2, the golden step of MinimizeBrent
+
+// MinimizeBrent minimises f on [a, b] by Brent's method: a parabola
+// through the three best points so far proposes each step, and a
+// golden-section step replaces it whenever the parabola is unreliable
+// (outside the bracket, not shrinking fast enough, or NaN because f
+// returned +Inf). The search starts from x0, taken as the golden point
+// of [a, b] when it lies outside (a, b), and stops when the bracket
+// around the best point x is narrower than 4·tol·(|x|+1). It returns
+// the abscissa and value of the best point.
+//
+// interior is false when the bracket never moved off a or b: the
+// minimum may lie on that edge or beyond it, and a caller that chose
+// [a, b] as a guess should search a wider interval.
+func MinimizeBrent(f func(float64) float64, a, x0, b, tol float64) (x, fx float64, interior bool) {
+	if b < a {
+		a, b = b, a
+	}
+	if tol <= 0 {
+		tol = 1e-10
+	}
+	a0, b0 := a, b
+	x = x0
+	if !(x > a && x < b) {
+		x = a + cGold*(b-a)
+	}
+	fx = f(x)
+	w, v, fw, fv := x, x, fx, fx
+	var d, e float64 // the last step and the one before it
+	for iter := 0; iter < 200; iter++ {
+		xm := (a + b) / 2
+		tol1 := tol * (math.Abs(x) + 1)
+		tol2 := 2 * tol1
+		if math.Abs(x-xm) <= tol2-(b-a)/2 {
+			break
+		}
+		golden := true
+		if math.Abs(e) > tol1 {
+			r := (x - w) * (fx - fv)
+			q := (x - v) * (fx - fw)
+			p := (x-v)*q - (x-w)*r
+			q = 2 * (q - r)
+			if q > 0 {
+				p = -p
+			}
+			q = math.Abs(q)
+			// Written so that a NaN parabola fails the test.
+			if math.Abs(p) < math.Abs(q*e/2) && p > q*(a-x) && p < q*(b-x) {
+				e, d = d, p/q
+				golden = false
+				if u := x + d; u-a < tol2 || b-u < tol2 {
+					d = math.Copysign(tol1, xm-x)
+				}
+			}
+		}
+		if golden {
+			if x >= xm {
+				e = a - x
+			} else {
+				e = b - x
+			}
+			d = cGold * e
+		}
+		u := x + d
+		if math.Abs(d) < tol1 {
+			u = x + math.Copysign(tol1, d)
+		}
+		fu := f(u)
+		if fu <= fx {
+			if u >= x {
+				a = x
+			} else {
+				b = x
+			}
+			v, w, x = w, x, u
+			fv, fw, fx = fw, fx, fu
+			continue
+		}
+		if u < x {
+			a = u
+		} else {
+			b = u
+		}
+		if fu <= fw || w == x {
+			v, w = w, u
+			fv, fw = fw, fu
+		} else if fu <= fv || v == x || v == w {
+			v, fv = u, fu
+		}
+	}
+	return x, fx, a != a0 && b != b0
+}
+
+// DescendInt minimises f over the integers in [lo, hi] by unit steps
+// from start (clamped into [lo, hi]): it walks towards a strictly lower
+// neighbour until none is lower, trying the left side first, and walks
+// left across equal values as well as lower ones. For a convex or
+// unimodal f it therefore returns the lowest-index minimiser, the same
+// point MinimizeConvexInt returns, after evaluating only the points
+// between start and the minimum (plus one on each side). For other f
+// the result is a local minimum. Each point is evaluated at most once.
+func DescendInt(f func(int) float64, start, lo, hi int) (int, float64) {
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	x := max(lo, min(start, hi))
+	fx := f(x)
+	var fl float64
+	haveLeft := x > lo
+	if haveLeft {
+		fl = f(x - 1)
+	}
+	if x < hi && !(haveLeft && fl <= fx) {
+		if fr := f(x + 1); fr < fx {
+			x, fx = x+1, fr
+			for x < hi {
+				fr := f(x + 1)
+				if fr >= fx {
+					break
+				}
+				x, fx = x+1, fr
+			}
+			return x, fx
+		}
+	}
+	for haveLeft && fl <= fx {
+		x, fx = x-1, fl
+		if haveLeft = x > lo; haveLeft {
+			fl = f(x - 1)
+		}
+	}
+	return x, fx
+}
+
+// DescendNested minimises f(n, m) over n in [1, nMax] and m in [1, mMax]
+// by nested DescendInt from (n0, m0): for each n visited, m descends
+// from m0, and n descends on that per-n minimum. This is the nested
+// structure of a "convex in m, unimodal in n" search, made local: it
+// reaches the minimiser of a nested ternary search over the whole box
+// while visiting only the points between the seed and the minimum.
+// (A joint descent over the eight neighbours of (n, m) is not
+// equivalent: it stops in local minima of functions that are not
+// jointly convex.)
+func DescendNested(f func(n, m int) float64, n0, m0, nMax, mMax int) (n, m int, fnm float64) {
+	bestM := func(n int) (int, float64) {
+		return DescendInt(func(m int) float64 { return f(n, m) }, m0, 1, mMax)
+	}
+	n, _ = DescendInt(func(n int) float64 { _, v := bestM(n); return v }, n0, 1, nMax)
+	m, fnm = bestM(n)
+	return n, m, fnm
+}
+
 // MinimizeConvexInt minimises a convex function f over the integers in
 // [lo, hi] by ternary search. It returns the argmin and minimum value.
 // For non-convex f the result is a local minimum.

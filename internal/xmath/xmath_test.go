@@ -250,3 +250,208 @@ func TestGoldenSectionAgainstBruteForce(t *testing.T) {
 		}
 	}
 }
+
+func TestMinimizeBrentQuadratic(t *testing.T) {
+	probes := 0
+	f := func(x float64) float64 { probes++; return (x - 3.25) * (x - 3.25) }
+	x, fx, interior := MinimizeBrent(f, 0, 1, 10, 1e-10)
+	if !Close(x, 3.25, 1e-8) || fx > 1e-15 || !interior {
+		t.Errorf("argmin = %v (f = %v, interior %v), want 3.25", x, fx, interior)
+	}
+	// A parabola is fitted exactly: far fewer probes than golden section.
+	if probes > 12 {
+		t.Errorf("%d probes for a quadratic", probes)
+	}
+}
+
+func TestMinimizeBrentOverheadShape(t *testing.T) {
+	// x + 1/x has argmin 1; a/x + b*x, the pattern-overhead shape, has
+	// argmin sqrt(a/b). Start at the golden point (x0 outside) and
+	// off-centre.
+	x, fx, interior := MinimizeBrent(func(x float64) float64 { return x + 1/x }, 0.25, 0, 4, 1e-10)
+	if !Close(x, 1, 1e-7) || !Close(fx, 2, 1e-14) || !interior {
+		t.Errorf("x+1/x: argmin %v f %v interior %v", x, fx, interior)
+	}
+	for _, ab := range [][2]float64{{330.8, 3.85e-6}, {15, 1e-3}, {2500, 1e-7}} {
+		a, b := ab[0], ab[1]
+		want := math.Sqrt(a / b)
+		x, _, interior := MinimizeBrent(func(x float64) float64 { return a/x + b*x }, want/4, want*1.7, want*4, 1e-10)
+		if !Close(x, want, 1e-7) || !interior {
+			t.Errorf("argmin(a=%v,b=%v) = %v (interior %v), want %v", a, b, x, interior, want)
+		}
+	}
+}
+
+func TestMinimizeBrentFlatBottom(t *testing.T) {
+	// Constant on [2, 5]: any point there is a minimiser; the search must
+	// stay inside it and report an interior minimum.
+	f := func(x float64) float64 {
+		switch {
+		case x < 2:
+			return 2 - x
+		case x > 5:
+			return x - 5
+		}
+		return 0
+	}
+	x, fx, interior := MinimizeBrent(f, 0, 1, 10, 1e-10)
+	if x < 2 || x > 5 || fx != 0 || !interior {
+		t.Errorf("flat bottom: x = %v f = %v interior %v", x, fx, interior)
+	}
+}
+
+func TestMinimizeBrentEdge(t *testing.T) {
+	// Increasing on the bracket: the minimum is the left edge, and the
+	// caller must be told so it can widen the search.
+	x, _, interior := MinimizeBrent(func(x float64) float64 { return x * x }, 1, 2, 4, 1e-10)
+	if interior || !Close(x, 1, 1e-8) {
+		t.Errorf("left edge: x = %v interior %v", x, interior)
+	}
+	// Decreasing: the right edge.
+	x, _, interior = MinimizeBrent(func(x float64) float64 { return -x }, 1, 2, 4, 1e-10)
+	if interior || !Close(x, 4, 1e-8) {
+		t.Errorf("right edge: x = %v interior %v", x, interior)
+	}
+	// Reversed bounds are swapped, not an edge.
+	x, _, interior = MinimizeBrent(func(x float64) float64 { return (x - 2) * (x - 2) }, 4, 3, 1, 1e-10)
+	if !interior || !Close(x, 2, 1e-8) {
+		t.Errorf("reversed bounds: x = %v interior %v", x, interior)
+	}
+}
+
+func TestMinimizeBrentInf(t *testing.T) {
+	// +Inf beyond x = 3 (an evaluator that diverges): the NaN parabolas
+	// it causes fall back to golden steps, and the minimum at 2.5 is
+	// still found.
+	f := func(x float64) float64 {
+		if x > 3 {
+			return math.Inf(1)
+		}
+		return (x - 2.5) * (x - 2.5)
+	}
+	x, fx, interior := MinimizeBrent(f, 0, 2.9, 10, 1e-10)
+	if !Close(x, 2.5, 1e-7) || math.IsInf(fx, 0) || !interior {
+		t.Errorf("x = %v f = %v interior %v, want 2.5", x, fx, interior)
+	}
+	// +Inf everywhere: no finite point to report.
+	_, fx, _ = MinimizeBrent(func(float64) float64 { return math.Inf(1) }, 0, 1, 10, 1e-10)
+	if !math.IsInf(fx, 1) {
+		t.Errorf("all-Inf f: min %v", fx)
+	}
+}
+
+func TestDescendInt(t *testing.T) {
+	f := func(k int) float64 { d := float64(k) - 17.3; return d * d }
+	for _, start := range []int{1, 5, 17, 18, 40, 1000} {
+		calls := 0
+		k, fk := DescendInt(func(k int) float64 { calls++; return f(k) }, start, 1, 1000)
+		if k != 17 || !Close(fk, 0.09, 1e-12) {
+			t.Errorf("start %d: argmin %d (f %v), want 17", start, k, fk)
+		}
+		// Every point between start and the minimum, plus one each side.
+		if d := max(start-17, 17-start); calls > d+3 {
+			t.Errorf("start %d: %d evaluations", start, calls)
+		}
+	}
+}
+
+func TestDescendIntBounds(t *testing.T) {
+	up := func(k int) float64 { return float64(k) }
+	if k, _ := DescendInt(up, 1, 1, 10); k != 1 {
+		t.Errorf("start at lo, minimum at lo: %d", k)
+	}
+	if k, _ := DescendInt(up, 10, 1, 10); k != 1 {
+		t.Errorf("start at hi, minimum at lo: %d", k)
+	}
+	down := func(k int) float64 { return -float64(k) }
+	if k, _ := DescendInt(down, 1, 1, 10); k != 10 {
+		t.Errorf("start at lo, minimum at hi: %d", k)
+	}
+	if k, _ := DescendInt(down, 10, 1, 10); k != 10 {
+		t.Errorf("start at hi, minimum at hi: %d", k)
+	}
+	// Starts outside the range are clamped; reversed bounds swapped.
+	if k, _ := DescendInt(up, -5, 3, 10); k != 3 {
+		t.Errorf("start below lo: %d", k)
+	}
+	if k, _ := DescendInt(down, 99, 10, 3); k != 10 {
+		t.Errorf("start above hi, reversed bounds: %d", k)
+	}
+	if k, _ := DescendInt(up, 4, 4, 4); k != 4 {
+		t.Errorf("one-point range: %d", k)
+	}
+}
+
+func TestDescendIntPlateaus(t *testing.T) {
+	// A flat bottom on [7, 13]: the lowest index, from either side, as
+	// MinimizeConvexInt returns.
+	flat := func(k int) float64 { return math.Max(math.Abs(float64(k)-10), 3) }
+	for _, start := range []int{1, 7, 10, 13, 20, 30} {
+		if k, fk := DescendInt(flat, start, 1, 30); k != 7 || fk != 3 {
+			t.Errorf("flat bottom from %d: %d (f %v), want 7", start, k, fk)
+		}
+	}
+	if k, _ := MinimizeConvexInt(flat, 1, 30); k != 7 {
+		t.Errorf("MinimizeConvexInt on flat bottom: %d", k)
+	}
+	// Constant, and +Inf everywhere: lo, as MinimizeConvexInt.
+	for _, c := range []float64{2, math.Inf(1)} {
+		if k, _ := DescendInt(func(int) float64 { return c }, 6, 1, 9); k != 1 {
+			t.Errorf("constant %v: %d, want 1", c, k)
+		}
+	}
+	// A plateau that drops further on the left is crossed.
+	step := []float64{1, 5, 5, 5, 6}
+	if k, _ := DescendInt(func(k int) float64 { return step[k] }, 3, 0, 4); k != 0 {
+		t.Errorf("plateau then drop: %d, want 0", k)
+	}
+}
+
+func TestDescendIntMatchesConvexTernary(t *testing.T) {
+	// On convex functions with many ties (integer-valued, flat runs),
+	// descent from any start returns MinimizeConvexInt's argmin: the
+	// lowest index among the minimisers.
+	rng := rand.New(rand.NewPCG(3, 4))
+	for i := 0; i < 500; i++ {
+		c := rng.IntN(60) + 1
+		w := float64(rng.IntN(4))
+		s := float64(rng.IntN(3) + 1)
+		f := func(k int) float64 { return math.Max(math.Abs(float64(k-c))-w, 0) * s }
+		want, _ := MinimizeConvexInt(f, 1, 64)
+		got, _ := DescendInt(f, rng.IntN(64)+1, 1, 64)
+		if got != want {
+			t.Fatalf("c=%d w=%v: descent %d, ternary %d", c, w, got, want)
+		}
+	}
+}
+
+func TestDescendNested(t *testing.T) {
+	// Not jointly convex in the sense of a neighbour descent: the best m
+	// grows as n falls (m* = 20 - n), so the optimum (3, 17) lies on a
+	// diagonal from the seed. The nested descent must reach the nested
+	// ternary search's answer.
+	f := func(n, m int) float64 {
+		dm := float64(m - (20 - n))
+		dn := float64(n) - 3.2
+		return 4*dm*dm + dn*dn
+	}
+	ternary := func() (int, int) {
+		mAt := func(n int) (int, float64) {
+			return MinimizeConvexInt(func(m int) float64 { return f(n, m) }, 1, 40)
+		}
+		n, _ := MinimizeConvexInt(func(n int) float64 { _, v := mAt(n); return v }, 1, 40)
+		m, _ := mAt(n)
+		return n, m
+	}
+	wn, wm := ternary()
+	for _, seed := range [][2]int{{5, 15}, {1, 1}, {40, 40}, {3, 17}} {
+		n, m, v := DescendNested(f, seed[0], seed[1], 40, 40)
+		if n != wn || m != wm || v != f(wn, wm) {
+			t.Errorf("seed %v: (%d, %d), nested ternary (%d, %d)", seed, n, m, wn, wm)
+		}
+	}
+	// A fixed dimension (max 1) stays at 1.
+	if n, m, _ := DescendNested(f, 1, 9, 1, 40); n != 1 || m != 19 {
+		t.Errorf("n fixed: (%d, %d), want (1, 19)", n, m)
+	}
+}

@@ -24,6 +24,11 @@
 # path; BenchmarkTraceRecord (a fully sampled trace: start, three
 # spans, ring push) must stay under 10µs; BenchmarkPromScrape (the
 # whole Prometheus exposition) under 2ms.
+# The cold exact-plan gates: since the exact planner descends from the
+# first-order seed instead of searching the whole (n, m) box,
+# BenchmarkServicePlanCold (one cold /v1/plan/exact computation) must
+# stay under 400µs (~130µs measured) and BenchmarkOptimalPlan (the
+# first-order Table 1 plan) under 10µs (~2-3µs measured).
 #
 # Usage: scripts/bench.sh [outdir] [benchtime]
 #   outdir    where to write BENCH_<date>.json (default: .)
@@ -82,7 +87,7 @@ fi
 # "regression" between the 2026-07 snapshots).
 gateraw=$(mktemp)
 trap 'rm -f "$raw" "$gateraw"' EXIT
-go test -run '^$' -bench 'BenchmarkMultilevelPlan$|BenchmarkSimulatePattern$|BenchmarkFleetSmall$|BenchmarkServicePlanHot$|BenchmarkRingRoute$|BenchmarkTraceRecord$|BenchmarkPromScrape$' \
+go test -run '^$' -bench 'BenchmarkMultilevelPlan$|BenchmarkSimulatePattern$|BenchmarkFleetSmall$|BenchmarkServicePlanHot$|BenchmarkRingRoute$|BenchmarkTraceRecord$|BenchmarkPromScrape$|BenchmarkServicePlanCold$|BenchmarkOptimalPlan$' \
     -benchtime 20x -benchmem . | tee "$gateraw"
 if awk '
     /^BenchmarkMultilevelPlan/ {
@@ -116,6 +121,14 @@ if awk '
     /^BenchmarkPromScrape/ {
         for (i = 2; i < NF; i++)
             if ($(i+1) == "ns/op" && $i + 0 > 2000000) { print "gate: PromScrape " $i " ns/op > 2ms (exposition render)"; bad = 1 }
+    }
+    /^BenchmarkServicePlanCold/ {
+        for (i = 2; i < NF; i++)
+            if ($(i+1) == "ns/op" && $i + 0 > 400000) { print "gate: ServicePlanCold " $i " ns/op > 400µs (cold exact plan)"; bad = 1 }
+    }
+    /^BenchmarkOptimalPlan/ {
+        for (i = 2; i < NF; i++)
+            if ($(i+1) == "ns/op" && $i + 0 > 10000) { print "gate: OptimalPlan " $i " ns/op > 10µs (first-order plan)"; bad = 1 }
     }
     END { exit bad }' "$gateraw"; then
     :

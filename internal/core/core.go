@@ -387,7 +387,13 @@ type Action struct {
 // by partial verifications, then the guaranteed verification and the
 // memory checkpoint; the final action is the disk checkpoint.
 func (p Pattern) Schedule() []Action {
-	var out []Action
+	// Segment i contributes mi chunks, mi-1 interior verifications, a
+	// guaranteed verification and a memory checkpoint: 2mi+1 actions.
+	size := 1
+	for i := range p.Beta {
+		size += 2*len(p.Beta[i]) + 1
+	}
+	out := make([]Action, 0, size)
 	interior := OpPartVer
 	if p.InteriorGuaranteed {
 		interior = OpGuarVer

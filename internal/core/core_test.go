@@ -241,6 +241,19 @@ func TestScheduleStructure(t *testing.T) {
 	}
 }
 
+// TestSchedulePreSized checks that Schedule allocates its result once,
+// at its exact length Σ(2mᵢ+1)+1, for uneven chunk counts too.
+func TestSchedulePreSized(t *testing.T) {
+	p := New(1000, []float64{0.5, 0.25, 0.25}, [][]float64{{1}, {0.5, 0.5}, {0.25, 0.25, 0.25, 0.25}})
+	sched := p.Schedule()
+	if want := (2*1 + 1) + (2*2 + 1) + (2*4 + 1) + 1; len(sched) != want || cap(sched) != want {
+		t.Errorf("len %d cap %d, want both %d", len(sched), cap(sched), want)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { p.Schedule() }); allocs != 1 {
+		t.Errorf("Schedule allocates %v times, want 1", allocs)
+	}
+}
+
 func TestSchedulePDIsMinimal(t *testing.T) {
 	p, err := Uniform(1000, 1, 1, 1)
 	if err != nil {

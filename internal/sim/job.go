@@ -36,7 +36,7 @@ func NewJobSim(cfg Config) (*JobSim, error) {
 		return nil, err
 	}
 	j := &JobSim{cfg: cfg}
-	j.ex = newExecutor(&j.cfg, newPlan(cfg.Pattern))
+	j.ex = newExecutor(&j.cfg, newPlan(&j.cfg))
 	return j, nil
 }
 

@@ -11,7 +11,10 @@
 // and silent) accumulates exposure only while an operation it can
 // strike is running, which realises the paper's "errors strike
 // computations" semantics for arbitrary renewal processes, not just the
-// memoryless exponential.
+// memoryless exponential. The clocks also let a run skip ahead: while
+// the state is clean, every action that ends before both pending
+// arrivals is completed at once from a prefix table over the schedule,
+// and only the action holding an arrival is stepped (DESIGN.md §2.2).
 //
 // Detection semantics match the accounting of Proposition 3: a silent
 // error leaves the application state corrupted; each partial
@@ -184,7 +187,7 @@ func Run(cfg Config) (Result, error) {
 		workers = cfg.Runs
 	}
 
-	pl := newPlan(cfg.Pattern)
+	pl := newPlan(&cfg)
 	work := cfg.Pattern.W * float64(cfg.Patterns)
 	overheads := make([]float64, cfg.Runs)
 	walls := make([]float64, cfg.Runs)
@@ -260,26 +263,101 @@ func (p *process) consume() {
 }
 
 // plan is the immutable flattening of a pattern shared by every run of
-// a campaign: the executable schedule and each segment's first action
-// index. Building it once per Run (instead of once per run, as the
-// executor used to) removes the dominant per-run allocations of
+// a campaign: the executable schedule, each segment's first action
+// index, and the prefix table that lets a run jump over actions no
+// error can strike. Building it once per Run (instead of once per run,
+// as the executor used to) removes the dominant per-run allocations of
 // paper-scale campaigns.
 type plan struct {
 	sched    []core.Action
-	segStart []int // schedule index of each segment's first action
+	segStart []int    // schedule index of each segment's first action
+	pre      []prefix // pre[k] sums the first k actions; len(sched)+1 rows
 }
 
-func newPlan(p core.Pattern) *plan {
-	sched := p.Schedule()
-	segStart := make([]int, p.N())
+// prefix is one row of a plan's prefix table: what the schedule's
+// first k actions add up to when they run without an error. The
+// counts are plain integers rather than a Counters value so a jump
+// adds four fields instead of copying two structs.
+type prefix struct {
+	time   float64 // error-free elapsed time
+	fail   float64 // fail-stop exposure (every op with ErrorsInOps, else chunks)
+	silent float64 // silent exposure (chunks only)
+	part   int32   // completed partial verifications
+	guar   int32   // completed guaranteed verifications
+	mem    int32   // completed memory checkpoints
+	disk   int32   // completed disk checkpoints
+}
+
+func newPlan(cfg *Config) *plan {
+	sched := cfg.Pattern.Schedule()
+	segStart := make([]int, cfg.Pattern.N())
+	pre := make([]prefix, len(sched)+1)
 	seen := 0
 	for i, a := range sched {
 		if a.Op == core.OpChunk && a.Chunk == 0 && a.Segment == seen {
 			segStart[seen] = i
 			seen++
 		}
+		row := pre[i]
+		switch a.Op {
+		case core.OpChunk:
+			row.time += a.Work
+			row.fail += a.Work
+			row.silent += a.Work
+		case core.OpPartVer:
+			row.addOp(cfg, cfg.Costs.PartVer)
+			row.part++
+		case core.OpGuarVer:
+			row.addOp(cfg, cfg.Costs.GuarVer)
+			row.guar++
+		case core.OpMemCkpt:
+			row.addOp(cfg, cfg.Costs.MemCkpt)
+			row.mem++
+		case core.OpDisk:
+			row.addOp(cfg, cfg.Costs.DiskCkpt)
+			row.disk++
+		}
+		pre[i+1] = row
 	}
-	return &plan{sched: sched, segStart: segStart}
+	return &plan{sched: sched, segStart: segStart, pre: pre}
+}
+
+// addOp accounts a non-computation operation the way protectedOp runs
+// it error-free: a cost <= 0 takes no time and no exposure, and only
+// ErrorsInOps exposes it to fail-stop errors.
+func (r *prefix) addOp(cfg *Config, cost float64) {
+	if cost <= 0 {
+		return
+	}
+	r.time += cost
+	if cfg.ErrorsInOps {
+		r.fail += cost
+	}
+}
+
+// cleanEnd returns the largest j in [i, len(sched)] such that actions
+// i..j-1 all complete before the next arrivals: their cumulative
+// fail-stop and silent exposure since action i stays strictly below
+// the exposure distances df and ds. Action j, if any, is the one that
+// holds an arrival. Action i alone is tested first, so a run whose
+// every action is struck pays one comparison, not a binary search.
+func (pl *plan) cleanEnd(i int, df, ds float64) int {
+	pre := pl.pre
+	f0, s0 := pre[i].fail, pre[i].silent
+	clean := func(k int) bool { return pre[k].fail-f0 < df && pre[k].silent-s0 < ds }
+	if !clean(i + 1) {
+		return i
+	}
+	lo, hi := i+1, len(pre) // clean(lo) holds; clean(hi) is out of range
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if clean(mid) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // executor simulates runs one at a time; one executor is reused across
@@ -385,68 +463,100 @@ const (
 // runPattern executes one pattern instance to completion, restarting
 // from the disk checkpoint on fail-stop errors and from the enclosing
 // segment's memory checkpoint on detected silent errors.
+//
+// While the state is clean it jumps from one error arrival to the
+// next: skip advances over every action that completes before the
+// pending fail-stop and silent arrivals, and only the action holding an
+// arrival is stepped. A corrupted state is stepped action by action, so
+// every detection draw happens in the same order as a stepwise replay.
 func (e *executor) runPattern() {
-	i := 0
-	for i < len(e.plan.sched) {
-		a := e.plan.sched[i]
-		e.curSeg = a.Segment
-		switch a.Op {
-		case core.OpChunk:
-			if e.chunk(a.Work) == opFailStop {
-				e.diskRecovery()
-				i = 0
-				continue
+	for i := 0; i < len(e.plan.sched); {
+		if !e.corrupted {
+			if i = e.skip(i); i == len(e.plan.sched) {
+				break
 			}
-			e.emit(EvOpDone, core.OpChunk)
-		case core.OpPartVer:
-			res, detected := e.verify(core.OpPartVer, e.cfg.Costs.PartVer, e.cfg.Costs.Recall, &e.cnt.PartVerifs, &e.cnt.DetectByPart)
-			if res == opFailStop {
-				e.diskRecovery()
-				i = 0
-				continue
-			}
-			if detected {
-				if e.memRecovery() == opFailStop {
-					i = 0
-				} else {
-					i = e.plan.segStart[a.Segment]
-				}
-				continue
-			}
-		case core.OpGuarVer:
-			res, detected := e.verify(core.OpGuarVer, e.cfg.Costs.GuarVer, 1, &e.cnt.GuarVerifs, &e.cnt.DetectByGuar)
-			if res == opFailStop {
-				e.diskRecovery()
-				i = 0
-				continue
-			}
-			if detected {
-				if e.memRecovery() == opFailStop {
-					i = 0
-				} else {
-					i = e.plan.segStart[a.Segment]
-				}
-				continue
-			}
-		case core.OpMemCkpt:
-			if e.protectedOp(e.cfg.Costs.MemCkpt) == opFailStop {
-				e.diskRecovery()
-				i = 0
-				continue
-			}
-			e.cnt.MemCkpts++
-			e.emit(EvOpDone, core.OpMemCkpt)
-		case core.OpDisk:
-			if e.protectedOp(e.cfg.Costs.DiskCkpt) == opFailStop {
-				e.diskRecovery()
-				i = 0
-				continue
-			}
-			e.cnt.DiskCkpts++
-			e.emit(EvOpDone, core.OpDisk)
 		}
-		i++
+		i = e.step(i)
 	}
+}
+
+// step executes action i and returns the index of the next action: 0
+// after a fail-stop error (disk recovery, pattern restart), the
+// segment's first action after a detected corruption (memory recovery,
+// segment restart), i+1 otherwise.
+func (e *executor) step(i int) int {
+	a := e.plan.sched[i]
+	e.curSeg = a.Segment
+	switch a.Op {
+	case core.OpChunk:
+		if e.chunk(a.Work) == opFailStop {
+			e.diskRecovery()
+			return 0
+		}
+		e.emit(EvOpDone, core.OpChunk)
+	case core.OpPartVer, core.OpGuarVer:
+		var res outcome
+		var detected bool
+		if a.Op == core.OpPartVer {
+			res, detected = e.verify(core.OpPartVer, e.cfg.Costs.PartVer, e.cfg.Costs.Recall, &e.cnt.PartVerifs, &e.cnt.DetectByPart)
+		} else {
+			res, detected = e.verify(core.OpGuarVer, e.cfg.Costs.GuarVer, 1, &e.cnt.GuarVerifs, &e.cnt.DetectByGuar)
+		}
+		if res == opFailStop {
+			e.diskRecovery()
+			return 0
+		}
+		if detected {
+			if e.memRecovery() == opFailStop {
+				return 0
+			}
+			return e.plan.segStart[a.Segment]
+		}
+	case core.OpMemCkpt:
+		if e.protectedOp(e.cfg.Costs.MemCkpt) == opFailStop {
+			e.diskRecovery()
+			return 0
+		}
+		e.cnt.MemCkpts++
+		e.emit(EvOpDone, core.OpMemCkpt)
+	case core.OpDisk:
+		if e.protectedOp(e.cfg.Costs.DiskCkpt) == opFailStop {
+			e.diskRecovery()
+			return 0
+		}
+		e.cnt.DiskCkpts++
+		e.emit(EvOpDone, core.OpDisk)
+	}
+	return i + 1
+}
+
+// skip completes, from the prefix table, every action from i on that
+// ends before the pending arrivals, and returns the index of the first
+// action it did not complete. It reads only the exposure distances
+// next - clock, so it holds for any faults.Source, and it draws no
+// random number: a clean verification draws nothing stepwise either.
+// When tracing, each skipped action still emits its op-done event.
+func (e *executor) skip(i int) int {
+	j := e.plan.cleanEnd(i, e.fail.next-e.fail.clock, e.silent.next-e.silent.clock)
+	if j == i {
+		return i
+	}
+	p0, p1 := &e.plan.pre[i], &e.plan.pre[j]
+	if e.rec != nil {
+		for k := i; k < j; k++ {
+			a := e.plan.sched[k]
+			e.rec(Event{Time: e.now + (e.plan.pre[k+1].time - p0.time), Kind: EvOpDone, Op: a.Op, Segment: a.Segment, Pattern: e.patIdx})
+		}
+		e.curSeg = e.plan.sched[j-1].Segment
+	}
+	e.now += p1.time - p0.time
+	e.fail.advance(p1.fail - p0.fail)
+	e.silent.advance(p1.silent - p0.silent)
+	e.cnt.PartVerifs += int64(p1.part - p0.part)
+	e.cnt.GuarVerifs += int64(p1.guar - p0.guar)
+	e.cnt.MemCkpts += int64(p1.mem - p0.mem)
+	e.cnt.DiskCkpts += int64(p1.disk - p0.disk)
+	return j
 }
 
 // chunk executes w seconds of computation, exposed to both error

@@ -481,3 +481,28 @@ func TestWorkersClampedToRuns(t *testing.T) {
 		t.Errorf("runs recorded = %d, want 2", res.Overhead.N())
 	}
 }
+
+// TestRunAllocs pins the allocations of the BenchmarkSimulatePattern
+// campaign (Hera PDMV, 10 patterns, one run, one worker), which
+// scripts/bench.sh gates on time: the plan must stay at one allocation
+// each for the schedule, the segment starts and the prefix table.
+func TestRunAllocs(t *testing.T) {
+	hera, err := platform.ByName("Hera")
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := analytic.Optimal(core.PDMV, hera.Costs, hera.Rates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Pattern: plan.Pattern, Costs: hera.Costs, Rates: hera.Rates, Patterns: 10, Runs: 1, ErrorsInOps: true, Workers: 1}
+	allocs := testing.AllocsPerRun(20, func() {
+		cfg.Seed++
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 19 {
+		t.Errorf("Run allocates %v times, want <= 19", allocs)
+	}
+}

@@ -78,7 +78,7 @@ func TraceOne(cfg Config, run int) ([]Event, Counters, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, Counters{}, err
 	}
-	ex := newExecutor(&cfg, newPlan(cfg.Pattern))
+	ex := newExecutor(&cfg, newPlan(&cfg))
 	ex.reset(run)
 	var events []Event
 	ex.rec = func(e Event) { events = append(events, e) }

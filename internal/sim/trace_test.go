@@ -79,6 +79,53 @@ func TestTraceOneWithErrors(t *testing.T) {
 			t.Errorf("time went backwards at %d: %v -> %v", i, events[i-1].Time, events[i].Time)
 		}
 	}
+	// The skip-ahead timeline is the stepwise reference's: same events
+	// in the same order, times within the parity tolerance. The second
+	// configuration strikes many patterns, so jumps start and end
+	// mid-pattern, mid-segment and right after recoveries.
+	checkTraceParity(t, "hand trace", Config{
+		Pattern: p, Costs: c, Patterns: 1, Seed: 1,
+		FailSource: traceAt(50), SilentSource: traceAt(120),
+	})
+	// A silent error exactly at the end of the first pattern's chunk
+	// corrupts that pattern, not the next one; only the timeline tells
+	// the two apart.
+	checkTraceParity(t, "silent error on a chunk boundary", Config{
+		Pattern: p, Costs: c, Patterns: 2, Seed: 1,
+		FailSource: never, SilentSource: traceAt(100),
+	})
+	checkTraceParity(t, "random errors", Config{
+		Pattern: mustLayout(t, core.PDMV, 1500, 3, 4, c.Recall), Costs: c,
+		Rates:    core.Rates{FailStop: 2e-4, Silent: 5e-4},
+		Patterns: 40, Seed: 8, ErrorsInOps: true,
+	})
+}
+
+// checkTraceParity compares TraceOne's timeline with the stepwise
+// reference's, event by event.
+func checkTraceParity(t *testing.T, name string, cfg Config) {
+	t.Helper()
+	got, gotCnt, err := TraceOne(cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantCnt := traceOneStepwise(cfg, 0)
+	if gotCnt != wantCnt {
+		t.Errorf("%s: counters %+v, stepwise %+v", name, gotCnt, wantCnt)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d events, stepwise %d", name, len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.Kind != w.Kind || g.Op != w.Op || g.Segment != w.Segment || g.Pattern != w.Pattern ||
+			relDiff(g.Time, w.Time) > parityTol {
+			t.Fatalf("%s: event %d = %v (t=%.17g), stepwise %v (t=%.17g)", name, i, g, g.Time, w, w.Time)
+		}
+	}
+	if gotCnt.FailStop+gotCnt.Silent == 0 {
+		t.Errorf("%s: no errors struck; the comparison is vacuous", name)
+	}
 }
 
 func TestTraceOneInvalidConfig(t *testing.T) {

@@ -9,10 +9,12 @@
 //	experiments -out results -only t1,f6,f9
 //	experiments -cpuprofile cpu.pprof -memprofile mem.pprof
 //
-// Simulation campaigns fan their (platform, family, sweep-point) cells
-// over -campaign-workers goroutines (default GOMAXPROCS) with -workers
-// simulation goroutines inside each cell (default 1); results are
-// bit-identical for any worker split. Each artefact logs its wall time
+// Each simulation campaign runs all its (platform, family,
+// sweep-point) cells on one pool of -campaign-workers × -workers
+// goroutines (defaults GOMAXPROCS × 1), claimed in blocks of runs so a
+// long cell is shared among them; the planner ablation fans its cells
+// over -campaign-workers. Results are bit-identical for any worker
+// split. Each artefact logs its wall time
 // so regressions are diagnosable without editing code, and
 // -cpuprofile/-memprofile capture pprof profiles of the whole run.
 package main
@@ -50,8 +52,8 @@ func main() {
 	flag.StringVar(&c.out, "out", "results", "output directory")
 	flag.StringVar(&c.mode, "mode", "fast", "campaign size: fast | medium | full")
 	flag.StringVar(&c.only, "only", "", "comma-separated experiment ids (t1,t2,f6,f7,f8,f9,ablation); empty = all")
-	flag.IntVar(&c.campaignWorkers, "campaign-workers", runtime.GOMAXPROCS(0), "campaign cells simulated concurrently")
-	flag.IntVar(&c.simWorkers, "workers", 1, "simulation goroutines per campaign cell (0 = GOMAXPROCS)")
+	flag.IntVar(&c.campaignWorkers, "campaign-workers", runtime.GOMAXPROCS(0), "simulation pool size is campaign-workers × workers; also the ablation's concurrent cells")
+	flag.IntVar(&c.simWorkers, "workers", 1, "simulation pool size is campaign-workers × workers (0 = GOMAXPROCS)")
 	flag.StringVar(&c.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
 	flag.StringVar(&c.memProfile, "memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()

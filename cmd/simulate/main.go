@@ -8,10 +8,10 @@
 //	simulate -platform Atlas -pattern PD -workers 4
 //
 // Parallelism flags follow the repo-wide convention (DESIGN.md §2.3):
-// -workers bounds the simulation goroutines inside this single
-// campaign cell, exactly like cmd/experiments -workers; it defaults to
-// GOMAXPROCS here because one cell is all there is (cmd/experiments
-// defaults to 1 because it fans cells over -campaign-workers instead).
+// -workers bounds the simulation goroutines of this single campaign
+// cell; it defaults to GOMAXPROCS here because one cell is all there
+// is (cmd/experiments defaults to 1 and sizes one pool of
+// -campaign-workers × -workers goroutines for all its cells).
 // Results are bit-identical for any -workers value.
 package main
 

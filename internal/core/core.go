@@ -250,29 +250,35 @@ func Uniform(w float64, n, m int, r float64) (Pattern, error) {
 	for i := range alpha {
 		alpha[i] = 1 / float64(n)
 	}
+	// Every row holds the Theorem 3 chunk fractions, and all rows share
+	// one backing array. Each row slice is capped at its own m entries,
+	// so appending to one row reallocates it instead of writing into the
+	// next row.
 	beta := make([][]float64, n)
-	row := optimalChunks(m, r)
+	rows := make([]float64, n*m)
+	optimalChunks(rows[:m], r)
 	for i := range beta {
-		beta[i] = append([]float64(nil), row...)
+		beta[i] = rows[i*m : (i+1)*m : (i+1)*m]
+		copy(beta[i], rows[:m])
 	}
 	return Pattern{W: w, Alpha: alpha, Beta: beta}, nil
 }
 
-// optimalChunks returns the Theorem 3 chunk fractions (first and last
-// 1/((m-2)r+2), interior r/((m-2)r+2)); for m = 1 the single chunk is
-// the whole segment.
-func optimalChunks(m int, r float64) []float64 {
+// optimalChunks fills row with the Theorem 3 chunk fractions for
+// m = len(row) chunks (first and last 1/((m-2)r+2), interior
+// r/((m-2)r+2)); for m = 1 the single chunk is the whole segment.
+func optimalChunks(row []float64, r float64) {
+	m := len(row)
 	if m == 1 {
-		return []float64{1}
+		row[0] = 1
+		return
 	}
 	den := float64(m-2)*r + 2
-	row := make([]float64, m)
 	for j := range row {
 		row[j] = r / den
 	}
 	row[0] = 1 / den
 	row[m-1] = 1 / den
-	return row
 }
 
 // N returns the number of segments.

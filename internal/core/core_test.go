@@ -210,6 +210,57 @@ func TestUniformAlwaysValid(t *testing.T) {
 	}
 }
 
+// TestUniformSharedRows checks the one-array layout of Uniform: three
+// allocations whatever n, the Theorem 3 fractions bit for bit in every
+// row, and rows capped so that appending to one cannot touch the next.
+func TestUniformSharedRows(t *testing.T) {
+	for _, c := range []struct {
+		n, m int
+		r    float64
+	}{{1, 1, 1}, {6, 17, 0.8}, {4, 1, 0.5}, {3, 2, 0.3}, {9, 5, 1}} {
+		p, err := Uniform(3600, c.n, c.m, c.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The fractions as Theorem 3 states them, computed row by row.
+		den := float64(c.m-2)*c.r + 2
+		for i, row := range p.Beta {
+			if len(row) != c.m || cap(row) != c.m {
+				t.Fatalf("n=%d m=%d: row %d len %d cap %d, want both %d", c.n, c.m, i, len(row), cap(row), c.m)
+			}
+			for j, b := range row {
+				want := c.r / den
+				switch {
+				case c.m == 1:
+					want = 1
+				case j == 0 || j == c.m-1:
+					want = 1 / den
+				}
+				if math.Float64bits(b) != math.Float64bits(want) {
+					t.Errorf("n=%d m=%d: beta[%d][%d] = %v, want %v", c.n, c.m, i, j, b, want)
+				}
+			}
+		}
+		if c.n > 1 {
+			next := append([]float64(nil), p.Beta[1]...)
+			p.Beta[0] = append(p.Beta[0], 42)
+			for j := range next {
+				if p.Beta[1][j] != next[j] {
+					t.Errorf("n=%d m=%d: appending to row 0 changed row 1", c.n, c.m)
+				}
+			}
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := Uniform(3600, c.n, c.m, c.r); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 3 {
+			t.Errorf("n=%d m=%d: Uniform allocates %v times, want 3", c.n, c.m, allocs)
+		}
+	}
+}
+
 func TestScheduleStructure(t *testing.T) {
 	p, err := Uniform(2800, 2, 3, 0.8)
 	if err != nil {

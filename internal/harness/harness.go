@@ -7,6 +7,7 @@ package harness
 
 import (
 	"fmt"
+	"runtime"
 
 	"respat/internal/analytic"
 	"respat/internal/core"
@@ -28,15 +29,18 @@ type Options struct {
 	Runs int
 	// Seed drives all randomness deterministically.
 	Seed uint64
-	// Workers bounds per-cell simulation parallelism (0 = GOMAXPROCS).
-	Workers int
-	// CampaignWorkers bounds how many campaign cells — one (platform,
-	// family, sweep-point) plan-and-simulate unit of Fig6, WeakScaling,
-	// RateSweep or Ablation — are in flight concurrently. 0 and 1 run
-	// cells sequentially. Results are bit-identical for any value:
-	// each cell derives its seed from (Seed, cell index) alone and
-	// writes only its own output row. When cells are fanned out, keep
-	// Workers small (e.g. 1) to avoid goroutine oversubscription.
+	// Workers and CampaignWorkers size the one pool that simulates every
+	// campaign cell of Fig6, WeakScaling or RateSweep — one (platform,
+	// family, sweep-point) plan-and-simulate unit — at run-block
+	// granularity: max(CampaignWorkers, 1) × Workers goroutines, with
+	// Workers 0 meaning GOMAXPROCS. Ablation and MultilevelStudy keep
+	// one goroutine per cell: CampaignWorkers bounds how many of their
+	// cells are in flight (0 and 1 run them sequentially), and
+	// MultilevelStudy simulates each cell on Workers goroutines.
+	// Results are bit-identical for any values: each cell derives its
+	// seed from (Seed, cell index) alone, each run its streams from
+	// (cell seed, run), and every cell's runs are reduced in run order.
+	Workers         int
 	CampaignWorkers int
 }
 
@@ -82,20 +86,51 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// simulate plans nothing: it runs the given pattern on the given
-// parameters with the reference-simulator semantics (fail-stop errors
-// everywhere, silent errors in computation), under the given cell seed.
-func simulate(pat core.Pattern, c core.Costs, r core.Rates, o Options, seed uint64) (sim.Result, error) {
-	return sim.Run(sim.Config{
-		Pattern:     pat,
-		Costs:       c,
-		Rates:       r,
-		Patterns:    o.Patterns,
-		Runs:        o.Runs,
-		Seed:        seed,
-		ErrorsInOps: true,
-		Workers:     o.Workers,
-	})
+// simCell is one plan-and-simulate cell of a campaign: a pattern
+// family on one platform's parameters.
+type simCell struct {
+	kind  core.Kind
+	costs core.Costs
+	rates core.Rates
+}
+
+// planAndSimulate plans every cell's optimal pattern, then simulates
+// all of them with the reference-simulator semantics (fail-stop errors
+// everywhere, silent errors in computation), cell i under cellSeed(i),
+// in one sim.RunAll call on a pool of max(CampaignWorkers, 1) × Workers
+// goroutines. Errors name the first failing cell by label(i).
+func planAndSimulate(cells []simCell, o Options, label func(i int) string) ([]analytic.Plan, []sim.Result, error) {
+	plans := make([]analytic.Plan, len(cells))
+	cfgs := make([]sim.Config, len(cells))
+	for i, c := range cells {
+		plan, err := analytic.Optimal(c.kind, c.costs, c.rates)
+		if err == nil {
+			cfgs[i] = sim.Config{
+				Pattern:     plan.Pattern,
+				Costs:       c.costs,
+				Rates:       c.rates,
+				Patterns:    o.Patterns,
+				Runs:        o.Runs,
+				Seed:        o.cellSeed(i),
+				ErrorsInOps: true,
+				Workers:     o.Workers,
+			}
+			err = cfgs[i].Validate()
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("harness: %s: %w", label(i), err)
+		}
+		plans[i] = plan
+	}
+	workers := o.Workers
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	res, err := sim.RunAll(cfgs, max(o.CampaignWorkers, 1)*workers)
+	if err != nil {
+		return nil, nil, err
+	}
+	return plans, res, nil
 }
 
 // Table1Row is one (platform, family) instantiation of Table 1.
@@ -202,44 +237,40 @@ type Fig6Row struct {
 }
 
 // Fig6 runs the Section 6.2 experiment: the six optimal patterns on
-// each platform. Cells are fanned over o.CampaignWorkers.
+// each platform, simulated on one planAndSimulate pool.
 func Fig6(platforms []platform.Platform, o Options) ([]Fig6Row, error) {
 	o = o.withDefaults()
-	type cellSpec struct {
-		p platform.Platform
-		k core.Kind
-	}
-	var cells []cellSpec
+	var names []string
+	var cells []simCell
 	for _, p := range platforms {
 		for _, k := range core.Kinds() {
-			cells = append(cells, cellSpec{p: p, k: k})
+			names = append(names, p.Name)
+			cells = append(cells, simCell{kind: k, costs: p.Costs, rates: p.Rates})
 		}
 	}
-	return mapCells(cells, o.CampaignWorkers, func(i int, cs cellSpec) (Fig6Row, error) {
-		p, k := cs.p, cs.k
-		plan, err := analytic.Optimal(k, p.Costs, p.Rates)
-		if err != nil {
-			return Fig6Row{}, fmt.Errorf("harness: %s/%v: %w", p.Name, k, err)
-		}
-		res, err := simulate(plan.Pattern, p.Costs, p.Rates, o, o.cellSeed(i))
-		if err != nil {
-			return Fig6Row{}, fmt.Errorf("harness: %s/%v: %w", p.Name, k, err)
-		}
-		return Fig6Row{
-			Platform:         p.Name,
-			Kind:             k,
+	plans, res, err := planAndSimulate(cells, o, func(i int) string { return fmt.Sprintf("%s/%v", names[i], cells[i].kind) })
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Fig6Row, len(cells))
+	for i, plan := range plans {
+		r := &res[i]
+		rows[i] = Fig6Row{
+			Platform:         names[i],
+			Kind:             cells[i].kind,
 			Plan:             plan,
 			Predicted:        plan.Overhead,
-			Simulated:        res.Overhead.Mean(),
-			SimCI95:          res.Overhead.CI95(),
+			Simulated:        r.Overhead.Mean(),
+			SimCI95:          r.Overhead.CI95(),
 			PeriodHours:      plan.W / 3600,
-			DiskCkptsPerHour: res.PerHour(res.Total.DiskCkpts),
-			MemCkptsPerHour:  res.PerHour(res.Total.MemCkpts),
-			VerifsPerHour:    res.PerHour(res.Total.Verifs()),
-			DiskRecsPerDay:   res.PerDay(res.Total.DiskRecs),
-			MemRecsPerDay:    res.PerDay(res.Total.MemRecs),
-		}, nil
-	})
+			DiskCkptsPerHour: r.PerHour(r.Total.DiskCkpts),
+			MemCkptsPerHour:  r.PerHour(r.Total.MemCkpts),
+			VerifsPerHour:    r.PerHour(r.Total.Verifs()),
+			DiskRecsPerDay:   r.PerDay(r.Total.DiskRecs),
+			MemRecsPerDay:    r.PerDay(r.Total.MemRecs),
+		}
+	}
+	return rows, nil
 }
 
 // RenderFig6 renders the Figure 6 metrics.
@@ -291,47 +322,43 @@ func WeakScaling(nodeCounts []int, cd, cm float64, kinds []core.Kind, o Options)
 		return nil, err
 	}
 	base := hera.WithDiskCost(cd).WithMemCost(cm)
-	type cellSpec struct {
-		p platform.Platform
-		k core.Kind
-	}
-	var cells []cellSpec
-	for _, nodes := range nodeCounts {
-		p, err := base.WeakScale(nodes)
+	var nodes []int
+	var cells []simCell
+	for _, n := range nodeCounts {
+		p, err := base.WeakScale(n)
 		if err != nil {
 			return nil, err
 		}
 		for _, k := range kinds {
-			cells = append(cells, cellSpec{p: p, k: k})
+			nodes = append(nodes, p.Nodes)
+			cells = append(cells, simCell{kind: k, costs: p.Costs, rates: p.Rates})
 		}
 	}
-	return mapCells(cells, o.CampaignWorkers, func(i int, cs cellSpec) (WeakRow, error) {
-		p, k := cs.p, cs.k
-		plan, err := analytic.Optimal(k, p.Costs, p.Rates)
-		if err != nil {
-			return WeakRow{}, fmt.Errorf("harness: %d nodes/%v: %w", p.Nodes, k, err)
-		}
-		res, err := simulate(plan.Pattern, p.Costs, p.Rates, o, o.cellSeed(i))
-		if err != nil {
-			return WeakRow{}, fmt.Errorf("harness: %d nodes/%v: %w", p.Nodes, k, err)
-		}
-		return WeakRow{
-			Nodes:              p.Nodes,
-			Kind:               k,
+	plans, res, err := planAndSimulate(cells, o, func(i int) string { return fmt.Sprintf("%d nodes/%v", nodes[i], cells[i].kind) })
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]WeakRow, len(cells))
+	for i, plan := range plans {
+		r := &res[i]
+		rows[i] = WeakRow{
+			Nodes:              nodes[i],
+			Kind:               cells[i].kind,
 			Plan:               plan,
 			Predicted:          plan.Overhead,
-			Simulated:          res.Overhead.Mean(),
-			SimCI95:            res.Overhead.CI95(),
+			Simulated:          r.Overhead.Mean(),
+			SimCI95:            r.Overhead.CI95(),
 			PeriodHours:        plan.W / 3600,
-			DiskRecsPerPattern: res.PerPattern(res.Total.DiskRecs),
-			MemRecsPerPattern:  res.PerPattern(res.Total.MemRecs),
-			DiskCkptsPerHour:   res.PerHour(res.Total.DiskCkpts),
-			MemCkptsPerHour:    res.PerHour(res.Total.MemCkpts),
-			VerifsPerHour:      res.PerHour(res.Total.Verifs()),
-			DiskRecsPerDay:     res.PerDay(res.Total.DiskRecs),
-			MemRecsPerDay:      res.PerDay(res.Total.MemRecs),
-		}, nil
-	})
+			DiskRecsPerPattern: r.PerPattern(r.Total.DiskRecs),
+			MemRecsPerPattern:  r.PerPattern(r.Total.MemRecs),
+			DiskCkptsPerHour:   r.PerHour(r.Total.DiskCkpts),
+			MemCkptsPerHour:    r.PerHour(r.Total.MemCkpts),
+			VerifsPerHour:      r.PerHour(r.Total.Verifs()),
+			DiskRecsPerDay:     r.PerDay(r.Total.DiskRecs),
+			MemRecsPerDay:      r.PerDay(r.Total.MemRecs),
+		}
+	}
+	return rows, nil
 }
 
 // RenderWeakScaling renders Figures 7/8 rows.
@@ -377,7 +404,8 @@ type RatePoint struct {
 // (the paper uses 10^5 Hera nodes): for each (failFactor, silentFactor)
 // pair and each family, the optimal pattern is re-planned and
 // simulated. Pass a full grid for Figures 9a-9c or a single-axis sweep
-// (the other factor pinned to 1) for Figures 9d-9k.
+// (the other factor pinned to 1) for Figures 9d-9k. All cells are
+// simulated on one planAndSimulate pool.
 func RateSweep(nodes int, pairs [][2]float64, kinds []core.Kind, o Options) ([]RatePoint, error) {
 	o = o.withDefaults()
 	hera, err := platform.ByName("Hera")
@@ -388,42 +416,40 @@ func RateSweep(nodes int, pairs [][2]float64, kinds []core.Kind, o Options) ([]R
 	if err != nil {
 		return nil, err
 	}
-	type cellSpec struct {
-		pair [2]float64
-		k    core.Kind
-	}
-	var cells []cellSpec
+	var cellPairs [][2]float64
+	var cells []simCell
 	for _, pair := range pairs {
+		p := base.ScaleRates(pair[0], pair[1])
 		for _, k := range kinds {
-			cells = append(cells, cellSpec{pair: pair, k: k})
+			cellPairs = append(cellPairs, pair)
+			cells = append(cells, simCell{kind: k, costs: p.Costs, rates: p.Rates})
 		}
 	}
-	return mapCells(cells, o.CampaignWorkers, func(i int, cs cellSpec) (RatePoint, error) {
-		pair, k := cs.pair, cs.k
-		p := base.ScaleRates(pair[0], pair[1])
-		plan, err := analytic.Optimal(k, p.Costs, p.Rates)
-		if err != nil {
-			return RatePoint{}, fmt.Errorf("harness: rates %vx/%vx %v: %w", pair[0], pair[1], k, err)
-		}
-		res, err := simulate(plan.Pattern, p.Costs, p.Rates, o, o.cellSeed(i))
-		if err != nil {
-			return RatePoint{}, fmt.Errorf("harness: rates %vx/%vx %v: %w", pair[0], pair[1], k, err)
-		}
-		return RatePoint{
-			FailFactor:       pair[0],
-			SilentFactor:     pair[1],
-			Kind:             k,
-			Plan:             plan,
-			Simulated:        res.Overhead.Mean(),
-			SimCI95:          res.Overhead.CI95(),
-			PeriodMinutes:    plan.W / 60,
-			DiskCkptsPerHour: res.PerHour(res.Total.DiskCkpts),
-			MemCkptsPerHour:  res.PerHour(res.Total.MemCkpts),
-			VerifsPerHour:    res.PerHour(res.Total.Verifs()),
-			DiskRecsPerDay:   res.PerDay(res.Total.DiskRecs),
-			MemRecsPerDay:    res.PerDay(res.Total.MemRecs),
-		}, nil
+	plans, res, err := planAndSimulate(cells, o, func(i int) string {
+		return fmt.Sprintf("rates %vx/%vx %v", cellPairs[i][0], cellPairs[i][1], cells[i].kind)
 	})
+	if err != nil {
+		return nil, err
+	}
+	pts := make([]RatePoint, len(cells))
+	for i, plan := range plans {
+		r := &res[i]
+		pts[i] = RatePoint{
+			FailFactor:       cellPairs[i][0],
+			SilentFactor:     cellPairs[i][1],
+			Kind:             cells[i].kind,
+			Plan:             plan,
+			Simulated:        r.Overhead.Mean(),
+			SimCI95:          r.Overhead.CI95(),
+			PeriodMinutes:    plan.W / 60,
+			DiskCkptsPerHour: r.PerHour(r.Total.DiskCkpts),
+			MemCkptsPerHour:  r.PerHour(r.Total.MemCkpts),
+			VerifsPerHour:    r.PerHour(r.Total.Verifs()),
+			DiskRecsPerDay:   r.PerDay(r.Total.DiskRecs),
+			MemRecsPerDay:    r.PerDay(r.Total.MemRecs),
+		}
+	}
+	return pts, nil
 }
 
 // Grid builds the full factor grid factors×factors for Figures 9a-9c.

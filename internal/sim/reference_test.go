@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/rand/v2"
 	"testing"
+	"time"
 
 	"respat/internal/analytic"
 	"respat/internal/core"
@@ -370,23 +372,31 @@ func TestSkipAheadSumsMoreAccurately(t *testing.T) {
 	}
 }
 
-// TestSkipAheadShareOnCampaignCells measures the property the jump's
-// gain depends on — errors rare relative to a pattern's length — as the
-// share of completed schedule actions a jump completes, on the
-// Monte-Carlo cells of the paper campaign: Fig 6 (Table 2 × the six
-// families) and the Fig 7 and 8 weak-scaling cells (Hera at CD = 300
-// and 90 s, CM = 15 s, PD and PDMV, 2^8 to 2^18 nodes). It asserts
-// that the jump completes at least 90 % of every Fig 6 cell's actions
-// and logs the per-figure shares.
-func TestSkipAheadShareOnCampaignCells(t *testing.T) {
-	type cell struct {
-		pl platform.Platform
-		k  core.Kind
+// campaignCell is one Monte-Carlo cell of the paper campaign.
+type campaignCell struct {
+	name string
+	cfg  Config
+}
+
+// paperCampaignCells returns the Monte-Carlo cells of the paper
+// campaign, in harness order and keyed by figure, at the given size:
+// Fig 6 (Table 2 × the six families) and the Fig 7 and 8 weak-scaling
+// cells (Hera at CD = 300 and 90 s, CM = 15 s, PD and PDMV, 2^8 to
+// 2^18 nodes), each on its optimal plan with ErrorsInOps.
+func paperCampaignCells(t *testing.T, patterns, runs int) map[string][]campaignCell {
+	t.Helper()
+	figs := map[string][]campaignCell{}
+	add := func(fig, name string, p platform.Platform, k core.Kind) {
+		plan, err := analytic.Optimal(k, p.Costs, p.Rates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Pattern: plan.Pattern, Costs: p.Costs, Rates: p.Rates, Patterns: patterns, Runs: runs, Seed: 1, ErrorsInOps: true}
+		figs[fig] = append(figs[fig], campaignCell{fmt.Sprintf("%s/%v", name, k), cfg})
 	}
-	figs := map[string][]cell{}
 	for _, p := range platform.Table2() {
 		for _, k := range core.Kinds() {
-			figs["fig6"] = append(figs["fig6"], cell{p, k})
+			add("fig6", p.Name, p, k)
 		}
 	}
 	hera, err := platform.ByName("Hera")
@@ -401,32 +411,113 @@ func TestSkipAheadShareOnCampaignCells(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, k := range []core.Kind{core.PD, core.PDMV} {
-				figs[fig] = append(figs[fig], cell{p, k})
+				add(fig, fmt.Sprintf("Hera %d nodes", nodes), p, k)
 			}
 		}
 	}
+	return figs
+}
+
+// TestSkipAheadShareOnCampaignCells measures the property the jump's
+// gain depends on — errors rare relative to a pattern's length — as the
+// share of completed schedule actions a jump completes, on the
+// Monte-Carlo cells of the paper campaign (paperCampaignCells). It
+// asserts that the jump completes at least 90 % of every Fig 6 cell's
+// actions and logs the per-figure shares.
+func TestSkipAheadShareOnCampaignCells(t *testing.T) {
+	figs := paperCampaignCells(t, 250, 4)
 	for _, fig := range []string{"fig6", "fig7", "fig8"} {
 		var skipped, total int64
 		minShare, minCell := 1.0, ""
 		for _, c := range figs[fig] {
-			plan, err := analytic.Optimal(c.k, c.pl.Costs, c.pl.Rates)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := Config{Pattern: plan.Pattern, Costs: c.pl.Costs, Rates: c.pl.Rates, Patterns: 250, Runs: 4, Seed: 1, ErrorsInOps: true}
-			s, n := skipShare(&cfg)
+			s, n := skipShare(&c.cfg)
 			skipped += s
 			total += n
 			share := float64(s) / float64(n)
 			if share < minShare {
-				minShare, minCell = share, fmt.Sprintf("%s/%v", c.pl.Name, c.k)
+				minShare, minCell = share, c.name
 			}
 			if fig == "fig6" && share < 0.9 {
-				t.Errorf("%s/%v: only %.1f%% of actions skipped", c.pl.Name, c.k, 100*share)
+				t.Errorf("%s: only %.1f%% of actions skipped", c.name, 100*share)
 			}
 		}
 		t.Logf("%s: %.1f%% of %d completed actions skipped; lowest cell %s at %.1f%%",
 			fig, 100*float64(skipped)/float64(total), total, minCell, 100*minShare)
+	}
+}
+
+// TestCleanEndEvaluations measures the property the interpolated
+// search's gain rests on: exposure tests per cleanEnd call on the paper
+// campaign's cells, for the binary search and for the interpolated
+// search, replaying every jump of the runs. It asserts that the counted
+// copy returns cleanEnd's index on every call, and that the
+// interpolated search makes fewer tests per call on every figure.
+func TestCleanEndEvaluations(t *testing.T) {
+	figs := paperCampaignCells(t, 250, 4)
+	for _, fig := range []string{"fig6", "fig7", "fig8"} {
+		var calls, binary, interp int64
+		for _, c := range figs[fig] {
+			pl := newPlan(&c.cfg)
+			ex := newExecutor(&c.cfg, pl)
+			for run := 0; run < c.cfg.Runs; run++ {
+				ex.reset(run)
+				for p := 0; p < c.cfg.Patterns; p++ {
+					for i := 0; i < len(pl.sched); {
+						if !ex.corrupted {
+							df, ds := ex.fail.next-ex.fail.clock, ex.silent.next-ex.silent.clock
+							_, b := pl.cleanEndBinary(i, df, ds)
+							j, n := pl.cleanEndCounted(i, df, ds)
+							if want := pl.cleanEnd(i, df, ds); j != want {
+								t.Fatalf("%s: counted search %d, cleanEnd %d", c.name, j, want)
+							}
+							calls++
+							binary += int64(b)
+							interp += int64(n)
+							if i = ex.skip(i); i == len(pl.sched) {
+								break
+							}
+						}
+						i = ex.step(i)
+					}
+				}
+			}
+		}
+		perB, perI := float64(binary)/float64(calls), float64(interp)/float64(calls)
+		t.Logf("%s: %d calls; exposure tests per call: binary search %.2f, interpolated %.2f", fig, calls, perB, perI)
+		if !(perI < perB) {
+			t.Errorf("%s: interpolated search makes %.2f tests per call, binary search %.2f", fig, perI, perB)
+		}
+	}
+}
+
+// TestLargestCellShare measures the property the shared run-block pool
+// rests on: the largest cell's share of an artefact's single-threaded
+// simulation time, at the paper_campaign benchmark's size (250 patterns
+// × 120 runs). With cells as the unit of parallelism, a cell holding
+// ~45 % of its artefact leaves the other workers idle for most of it.
+// It only logs: the shares are timings.
+func TestLargestCellShare(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times every paper campaign cell at benchmark size")
+	}
+	figs := paperCampaignCells(t, 250, 120)
+	for _, fig := range []string{"fig6", "fig7", "fig8"} {
+		var total, largest time.Duration
+		name := ""
+		for _, c := range figs[fig] {
+			cfg := c.cfg
+			cfg.Workers = 1
+			start := time.Now()
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			d := time.Since(start)
+			total += d
+			if d > largest {
+				largest, name = d, c.name
+			}
+		}
+		t.Logf("%s: %v single-threaded; largest cell %s %v (%.0f%%)", fig, total, name, largest, 100*largest.Seconds()/total.Seconds())
 	}
 }
 
@@ -458,4 +549,142 @@ func skipShare(cfg *Config) (skipped, total int64) {
 		}
 	}
 	return skipped, total
+}
+
+// cleanEndBinary is cleanEnd before the interpolated search: action i
+// alone, then a binary search over [i+1, len(sched)]. evals counts the
+// exposure tests it makes.
+func (pl *plan) cleanEndBinary(i int, df, ds float64) (j, evals int) {
+	pre := pl.pre
+	f0, s0 := pre[i].fail, pre[i].silent
+	clean := func(k int) bool {
+		evals++
+		return pre[k].fail-f0 < df && pre[k].silent-s0 < ds
+	}
+	if !clean(i + 1) {
+		return i, evals
+	}
+	lo, hi := i+1, len(pre)
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if clean(mid) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo, evals
+}
+
+// cleanEndCounted is cleanEnd step for step, counting its exposure
+// tests; TestCleanEndEvaluations checks that it returns cleanEnd's
+// index on every call it measures.
+func (pl *plan) cleanEndCounted(i int, df, ds float64) (j, evals int) {
+	pre := pl.pre
+	f0, s0 := pre[i].fail, pre[i].silent
+	clean := func(k int) bool {
+		evals++
+		return pre[k].fail-f0 < df && pre[k].silent-s0 < ds
+	}
+	if !clean(i + 1) {
+		return i, evals
+	}
+	lo, hi := i+1, len(pre)
+	g, steps := lo, df*pl.actPerFail
+	if s := ds * pl.actPerSilent; s < steps {
+		steps = s
+	}
+	if steps >= float64(hi-1-i) {
+		g = hi - 1
+	} else if steps > 1 {
+		g = i + int(steps)
+	}
+	if g > lo && !clean(g) {
+		hi = g
+		for step := 1; hi-step > lo; step <<= 1 {
+			if clean(hi - step) {
+				lo = hi - step
+				break
+			}
+			hi -= step
+		}
+	} else {
+		lo = g
+		for step := 1; lo+step < hi; step <<= 1 {
+			if !clean(lo + step) {
+				hi = lo + step
+				break
+			}
+			lo += step
+		}
+	}
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if clean(mid) {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo, evals
+}
+
+// TestCleanEndMatchesBinarySearch is the search parity contract: the
+// interpolated cleanEnd returns the binary search's index on every
+// start index of the optimal plans of all six families on every
+// Table 2 platform, with ErrorsInOps on and off and with zero-cost
+// operations, for exposure distances at 0, at an exact prefix
+// difference, one ulp either side of it, at random and at +Inf.
+func TestCleanEndMatchesBinarySearch(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	zero := func(c core.Costs) core.Costs {
+		c.PartVer, c.GuarVer, c.MemCkpt = 0, 0, 0
+		return c
+	}
+	calls, mismatches := 0, 0
+	for _, p := range platform.Table2() {
+		for _, k := range core.Kinds() {
+			plan, err := analytic.Optimal(k, p.Costs, p.Rates)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, costs := range []core.Costs{p.Costs, zero(p.Costs)} {
+				for _, inOps := range []bool{false, true} {
+					cfg := Config{Pattern: plan.Pattern, Costs: costs, Rates: p.Rates, ErrorsInOps: inOps}
+					pl := newPlan(&cfg)
+					n := len(pl.pre) - 1
+					// Distances around the exposure of actions i..k-1 for a
+					// few k, plus 0, a random one and +Inf.
+					dists := func(i int, exposure func(k int) float64) []float64 {
+						ds := []float64{0, math.Inf(1), rng.Float64() * 1.2 * (exposure(n) - exposure(i))}
+						for _, k := range []int{i + 1, min(i+2, n), i + rng.IntN(n-i+1), n} {
+							d := exposure(k) - exposure(i)
+							ds = append(ds, d, math.Nextafter(d, math.Inf(-1)), math.Nextafter(d, math.Inf(1)))
+						}
+						return ds
+					}
+					fail := func(k int) float64 { return pl.pre[k].fail }
+					silent := func(k int) float64 { return pl.pre[k].silent }
+					for i := 0; i < n; i++ {
+						for _, df := range dists(i, fail) {
+							for _, ds := range dists(i, silent) {
+								want, _ := pl.cleanEndBinary(i, df, ds)
+								calls++
+								if got := pl.cleanEnd(i, df, ds); got != want {
+									if mismatches++; mismatches <= 10 {
+										t.Errorf("%s/%v costs %v ErrorsInOps=%v: cleanEnd(%d, %v, %v) = %d, binary search %d",
+											p.Name, k, costs, inOps, i, df, ds, got, want)
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if mismatches > 0 {
+		t.Errorf("%d of %d calls differ", mismatches, calls)
+	}
+	t.Logf("%d calls, all identical", calls)
 }

@@ -29,9 +29,11 @@ import (
 	"math/rand/v2"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"respat/internal/core"
 	"respat/internal/faults"
+	"respat/internal/sched"
 	"respat/internal/stats"
 )
 
@@ -62,8 +64,8 @@ type Config struct {
 	// behaviour). When false, the Sections 3-4 assumption holds and
 	// only computations are exposed.
 	ErrorsInOps bool
-	// Workers bounds the number of parallel simulation goroutines;
-	// 0 means GOMAXPROCS.
+	// Workers bounds the number of parallel simulation goroutines of
+	// Run; 0 means GOMAXPROCS. RunAll sizes its pool itself.
 	Workers int
 	// FailSource and SilentSource optionally override the exponential
 	// arrival processes (e.g. Weibull ablations or trace replay in
@@ -170,69 +172,143 @@ func (cfg Config) Validate() error {
 	return nil
 }
 
-// Run executes the campaign, distributing runs over worker goroutines.
-// Results are bit-identical for a fixed cfg.Seed regardless of Workers:
-// every run derives its random streams from (Seed, run) alone, each
-// worker reuses one executor against a campaign-shared immutable plan,
-// and per-run statistics are reduced in run order.
+// Run executes one campaign: RunAll of cfg alone on a pool of
+// cfg.Workers goroutines. Results are bit-identical for a fixed
+// cfg.Seed regardless of Workers.
 func Run(cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	workers := cfg.Workers
+	return runAll([]Config{cfg}, cfg.Workers)[0], nil
+}
+
+// RunAll simulates every campaign of cfgs on one pool of workers
+// goroutines (0 means GOMAXPROCS); each config's own Workers field is
+// ignored. Each campaign's runs are split into blocks (blockSize), and
+// the blocks of all campaigns are claimed in order from one pool, so
+// one long campaign does not leave the other workers idle. Results[i]
+// is bit-identical to Run(cfgs[i]) for any pool size: every run
+// derives its random streams from (Seed, run) alone, per-run
+// statistics are reduced in run order, and the integer counters are
+// summed exactly in any order.
+func RunAll(cfgs []Config, workers int) ([]Result, error) {
+	for i := range cfgs {
+		if err := cfgs[i].Validate(); err != nil {
+			return nil, fmt.Errorf("sim: config %d: %w", i, err)
+		}
+	}
+	if workers < 0 {
+		return nil, fmt.Errorf("sim: workers = %d, need >= 0", workers)
+	}
+	return runAll(cfgs, workers), nil
+}
+
+// campaign is one config of a RunAll pool: its shared plan, built by
+// the first worker to reach one of its blocks, and where its per-run
+// samples go.
+type campaign struct {
+	cfg  *Config
+	once sync.Once
+	plan *plan
+	work float64 // total work of one run
+	run0 int     // offset of run 0 in the pool's sample slice
+}
+
+// minBlockPatterns is the fewest pattern instances a block simulates.
+// Claiming a block costs a few cache-line transfers between workers,
+// ~0.3 µs on a 2-vCPU VM; a clean pattern instance can cost 30 ns, so
+// a block of one short run would spend as long being claimed as being
+// simulated.
+const minBlockPatterns = 256
+
+// blockSize is the number of runs per block of cfg on a pool of
+// workers: about Runs/(4·workers), so each worker claims several blocks
+// of every campaign and the last blocks are short, but never fewer
+// runs than minBlockPatterns pattern instances.
+func blockSize(cfg *Config, workers int) int {
+	return max(cfg.Runs/(4*workers), (minBlockPatterns+cfg.Patterns-1)/cfg.Patterns)
+}
+
+// block is a range of one campaign's runs, simulated by one worker on
+// one executor.
+type block struct {
+	c, lo, hi int
+}
+
+// worker is the state of one pool goroutine: the executor of the
+// campaign it last simulated, and its own row of counters, one per
+// campaign.
+type worker struct {
+	c   int
+	ex  *executor
+	cnt []Counters
+}
+
+// runAll is RunAll on validated configs.
+func runAll(cfgs []Config, workers int) []Result {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > cfg.Runs {
-		workers = cfg.Runs
-	}
-
-	pl := newPlan(&cfg)
-	work := cfg.Pattern.W * float64(cfg.Patterns)
-	overheads := make([]float64, cfg.Runs)
-	walls := make([]float64, cfg.Runs)
-	totals := make([]Counters, workers)
-	if workers == 1 {
-		// Run inline: a single worker gains nothing from a goroutine,
-		// and the spawn/handoff latency is comparable to a whole
-		// small campaign (it showed up as a 2-3x swing in
-		// BenchmarkSimulatePattern between snapshots).
-		ex := newExecutor(&cfg, pl)
-		for run := 0; run < cfg.Runs; run++ {
-			ex.reset(run)
-			cnt, elapsed := ex.runAll()
-			overheads[run] = (elapsed - work) / work
-			walls[run] = elapsed
-			totals[0].add(cnt)
+	camps := make([]campaign, len(cfgs))
+	var blocks []block
+	runs := 0
+	for c := range cfgs {
+		cfg := &cfgs[c]
+		camps[c].cfg, camps[c].work, camps[c].run0 = cfg, cfg.Pattern.W*float64(cfg.Patterns), runs
+		runs += cfg.Runs
+		size := blockSize(cfg, workers)
+		for lo := 0; lo < cfg.Runs; lo += size {
+			blocks = append(blocks, block{c: c, lo: lo, hi: min(lo+size, cfg.Runs)})
 		}
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				ex := newExecutor(&cfg, pl)
-				for run := w; run < cfg.Runs; run += workers {
-					ex.reset(run)
-					cnt, elapsed := ex.runAll()
-					overheads[run] = (elapsed - work) / work
-					walls[run] = elapsed
-					totals[w].add(cnt)
-				}
-			}(w)
+	}
+	// samples holds each run's overhead and wall time side by side.
+	samples := make([]float64, 2*runs)
+	// RunCellsCtx starts at most min(workers, blocks) workers; each
+	// takes the next worker slot and its counter row. The counters are
+	// integers, so summing them per worker is exact in any order.
+	ws := make([]worker, min(workers, len(blocks)))
+	totals := make([]Counters, len(ws)*len(camps))
+	var started atomic.Int32
+	newWorker := func() (*worker, error) {
+		id := int(started.Add(1)) - 1
+		w := &ws[id]
+		w.c, w.cnt = -1, totals[id*len(camps):(id+1)*len(camps)]
+		return w, nil
+	}
+	// A worker keeps its executor while consecutive blocks belong to
+	// the same campaign. No block can fail.
+	_ = sched.RunCellsCtx(len(blocks), workers, newWorker, func(w *worker, b int) error {
+		blk := blocks[b]
+		cp := &camps[blk.c]
+		if w.c != blk.c {
+			cp.once.Do(func() { cp.plan = newPlan(cp.cfg) })
+			w.c, w.ex = blk.c, newExecutor(cp.cfg, cp.plan)
 		}
-		wg.Wait()
-	}
+		cnt := &w.cnt[blk.c]
+		for run := blk.lo; run < blk.hi; run++ {
+			w.ex.reset(run)
+			c, elapsed := w.ex.runAll()
+			slot := samples[2*(cp.run0+run):]
+			slot[0], slot[1] = (elapsed-cp.work)/cp.work, elapsed
+			cnt.add(c)
+		}
+		return nil
+	})
 
-	res := Result{Runs: cfg.Runs, Patterns: cfg.Patterns, PatternWork: cfg.Pattern.W}
-	for run := range overheads {
-		res.Overhead.Add(overheads[run])
-		res.WallTime.Add(walls[run])
+	results := make([]Result, len(camps))
+	for c := range camps {
+		cp := &camps[c]
+		res := &results[c]
+		*res = Result{Runs: cp.cfg.Runs, Patterns: cp.cfg.Patterns, PatternWork: cp.cfg.Pattern.W}
+		for run := cp.run0; run < cp.run0+cp.cfg.Runs; run++ {
+			res.Overhead.Add(samples[2*run])
+			res.WallTime.Add(samples[2*run+1])
+		}
+		for id := range ws {
+			res.Total.add(totals[id*len(camps)+c])
+		}
 	}
-	for i := range totals {
-		res.Total.add(totals[i])
-	}
-	return res, nil
+	return results
 }
 
 // process drives one error source on an exposure clock.
@@ -272,6 +348,9 @@ type plan struct {
 	sched    []core.Action
 	segStart []int    // schedule index of each segment's first action
 	pre      []prefix // pre[k] sums the first k actions; len(sched)+1 rows
+	// Actions per unit of fail-stop and silent exposure over the whole
+	// schedule: cleanEnd's guess of how far an arrival lies.
+	actPerFail, actPerSilent float64
 }
 
 // prefix is one row of a plan's prefix table: what the schedule's
@@ -319,7 +398,8 @@ func newPlan(cfg *Config) *plan {
 		}
 		pre[i+1] = row
 	}
-	return &plan{sched: sched, segStart: segStart, pre: pre}
+	n, last := float64(len(sched)), pre[len(sched)]
+	return &plan{sched: sched, segStart: segStart, pre: pre, actPerFail: n / last.fail, actPerSilent: n / last.silent}
 }
 
 // addOp accounts a non-computation operation the way protectedOp runs
@@ -340,7 +420,12 @@ func (r *prefix) addOp(cfg *Config, cost float64) {
 // fail-stop and silent exposure since action i stays strictly below
 // the exposure distances df and ds. Action j, if any, is the one that
 // holds an arrival. Action i alone is tested first, so a run whose
-// every action is struck pays one comparison, not a binary search.
+// every action is struck pays one comparison. Otherwise the search
+// starts from the crossing the plan's mean exposure per action
+// predicts, gallops from there to bracket j and binary-searches the
+// bracket: O(1) tests when the guess is close, O(log A) at worst. The
+// test is monotone in j, so the index is the one a plain binary search
+// over [i+1, len(sched)] returns.
 func (pl *plan) cleanEnd(i int, df, ds float64) int {
 	pre := pl.pre
 	f0, s0 := pre[i].fail, pre[i].silent
@@ -349,6 +434,36 @@ func (pl *plan) cleanEnd(i int, df, ds float64) int {
 		return i
 	}
 	lo, hi := i+1, len(pre) // clean(lo) holds; clean(hi) is out of range
+	// g guesses the crossing; a NaN guess fails both tests and leaves
+	// g at lo, an infinite one is clamped to the table.
+	g, steps := lo, df*pl.actPerFail
+	if s := ds * pl.actPerSilent; s < steps {
+		steps = s
+	}
+	if steps >= float64(hi-1-i) {
+		g = hi - 1
+	} else if steps > 1 {
+		g = i + int(steps)
+	}
+	if g > lo && !clean(g) {
+		hi = g
+		for step := 1; hi-step > lo; step <<= 1 {
+			if clean(hi - step) {
+				lo = hi - step
+				break
+			}
+			hi -= step
+		}
+	} else {
+		lo = g
+		for step := 1; lo+step < hi; step <<= 1 {
+			if !clean(lo + step) {
+				hi = lo + step
+				break
+			}
+			lo += step
+		}
+	}
 	for hi-lo > 1 {
 		mid := int(uint(lo+hi) >> 1)
 		if clean(mid) {
@@ -367,17 +482,19 @@ type executor struct {
 	plan      *plan
 	fail      process
 	silent    process
-	detect    *faults.Bernoulli
+	detect    faults.Bernoulli
 	now       float64
 	corrupted bool
 	cnt       Counters
 	// Reusable default sources and their generators, reseeded in place
-	// per run; nil when the corresponding factory override is set.
-	failExp   *faults.Exponential
-	failPCG   *rand.PCG
-	silentExp *faults.Exponential
-	silentPCG *rand.PCG
-	detectPCG *rand.PCG
+	// per run and held by value so an executor is a few allocations;
+	// the exponential sources are unused when the corresponding factory
+	// override is set.
+	failExp   faults.Exponential
+	failPCG   rand.PCG
+	silentExp faults.Exponential
+	silentPCG rand.PCG
+	detectPCG rand.PCG
 	// Optional event recorder (TraceOne) plus its position context.
 	rec    func(Event)
 	curSeg int
@@ -398,15 +515,12 @@ func newExecutor(cfg *Config, pl *plan) *executor {
 	// The rates were validated by Config.Validate whenever a default
 	// exponential source is needed, so construction cannot fail here.
 	if cfg.FailSource == nil {
-		e.failPCG = rand.NewPCG(0, 0)
-		e.failExp = &faults.Exponential{Lambda: cfg.Rates.FailStop, Rng: rand.New(e.failPCG)}
+		e.failExp = faults.Exponential{Lambda: cfg.Rates.FailStop, Rng: rand.New(&e.failPCG)}
 	}
 	if cfg.SilentSource == nil {
-		e.silentPCG = rand.NewPCG(0, 0)
-		e.silentExp = &faults.Exponential{Lambda: cfg.Rates.Silent, Rng: rand.New(e.silentPCG)}
+		e.silentExp = faults.Exponential{Lambda: cfg.Rates.Silent, Rng: rand.New(&e.silentPCG)}
 	}
-	e.detectPCG = rand.NewPCG(0, 0)
-	e.detect = &faults.Bernoulli{Rng: rand.New(e.detectPCG)}
+	e.detect = faults.Bernoulli{Rng: rand.New(&e.detectPCG)}
 	return e
 }
 
@@ -421,14 +535,14 @@ func (e *executor) reset(run int) {
 	} else {
 		s1, s2 := faults.SplitSeed(e.cfg.Seed, uint64(run)*numStreams+streamFail)
 		e.failPCG.Seed(s1, s2)
-		failSrc = e.failExp
+		failSrc = &e.failExp
 	}
 	if e.cfg.SilentSource != nil {
 		silentSrc = e.cfg.SilentSource(run)
 	} else {
 		s1, s2 := faults.SplitSeed(e.cfg.Seed, uint64(run)*numStreams+streamSilent)
 		e.silentPCG.Seed(s1, s2)
-		silentSrc = e.silentExp
+		silentSrc = &e.silentExp
 	}
 	d1, d2 := faults.SplitSeed(e.cfg.Seed, uint64(run)*numStreams+streamDetect)
 	e.detectPCG.Seed(d1, d2)

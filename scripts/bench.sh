@@ -30,27 +30,49 @@
 # stay under 400µs (~130µs measured) and BenchmarkOptimalPlan (the
 # first-order Table 1 plan) under 10µs (~2-3µs measured).
 #
+# The snapshot pass runs every benchmark -count 5 times at a fixed
+# benchtime (default 20x, the gate pass's) and records, per benchmark,
+# the median ns/op as ns_per_op plus the fastest and slowest samples;
+# bytes and allocs per op are medians too. A single sample swings 2-5x
+# between runs on a shared machine, so a snapshot of one is noise.
+#
 # Usage: scripts/bench.sh [outdir] [benchtime]
 #   outdir    where to write BENCH_<date>.json (default: .)
-#   benchtime go test -benchtime value (default: 1x)
+#   benchtime go test -benchtime value of the snapshot pass (default: 20x)
 #
-# Output schema: {"date": ..., "go": ..., "benchmarks":
-#   {"<name>": {"ns_per_op": N, "bytes_per_op": N, "allocs_per_op": N}}}
+# Output schema: {"date": ..., "go": ..., "machine": {"nproc": N,
+#   "cpu": "..."}, "count": 5, "benchtime": "...", "benchmarks":
+#   {"<name>": {"ns_per_op": N, "ns_min": N, "ns_max": N,
+#   "bytes_per_op": N, "allocs_per_op": N}}}
 set -eu
 
 outdir=${1:-.}
-benchtime=${2:-1x}
+benchtime=${2:-20x}
+count=5
 mkdir -p "$outdir"
 date=$(date -u +%Y-%m-%d)
 out="$outdir/BENCH_${date}.json"
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 
-go test -run '^$' -bench . -benchtime "$benchtime" -benchmem . | tee "$raw"
+go test -run '^$' -bench . -benchtime "$benchtime" -count "$count" -benchmem . | tee "$raw"
 
 goversion=$(go version | sed 's/"/\\"/g')
-awk -v date="$date" -v goversion="$goversion" '
-BEGIN { printf "{\n  \"date\": \"%s\",\n  \"go\": \"%s\",\n  \"benchmarks\": {\n", date, goversion }
+nproc=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)
+cpu=$( (grep -m1 '^model name' /proc/cpuinfo 2>/dev/null || sysctl -n machdep.cpu.brand_string 2>/dev/null || echo unknown) |
+    sed 's/^model name[[:space:]]*:[[:space:]]*//; s/"/\\"/g')
+awk -v date="$date" -v goversion="$goversion" -v nproc="$nproc" -v cpu="$cpu" \
+    -v count="$count" -v benchtime="$benchtime" '
+# median of the k values v[1..k], sorted in place (insertion sort: mawk
+# has no asort).
+function median(v, k,    i, j, x) {
+    for (i = 2; i <= k; i++) {
+        x = v[i]
+        for (j = i - 1; j >= 1 && v[j] > x; j--) v[j+1] = v[j]
+        v[j+1] = x
+    }
+    return k % 2 ? v[(k+1)/2] : (v[k/2] + v[k/2+1]) / 2
+}
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)   # strip the -GOMAXPROCS suffix
@@ -61,11 +83,28 @@ BEGIN { printf "{\n  \"date\": \"%s\",\n  \"go\": \"%s\",\n  \"benchmarks\": {\n
         if ($(i+1) == "allocs/op") allocs = $i
     }
     if (ns == "") next
-    if (n++) printf ",\n"
-    printf "    \"%s\": {\"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
-        name, ns, (bytes == "" ? "null" : bytes), (allocs == "" ? "null" : allocs)
+    if (!(name in samples)) order[++names] = name
+    k = ++samples[name]
+    nsv[name, k] = ns + 0
+    bv[name, k] = bytes; av[name, k] = allocs
 }
-END { printf "\n  }\n}\n" }
+END {
+    printf "{\n  \"date\": \"%s\",\n  \"go\": \"%s\",\n", date, goversion
+    printf "  \"machine\": {\"nproc\": %d, \"cpu\": \"%s\"},\n", nproc, cpu
+    printf "  \"count\": %d,\n  \"benchtime\": \"%s\",\n  \"benchmarks\": {\n", count, benchtime
+    for (n = 1; n <= names; n++) {
+        name = order[n]; k = samples[name]
+        for (i = 1; i <= k; i++) v[i] = nsv[name, i]
+        med = median(v, k); lo = v[1]; hi = v[k]
+        bytes = "null"; allocs = "null"
+        if (bv[name, 1] != "") { for (i = 1; i <= k; i++) v[i] = bv[name, i] + 0; bytes = sprintf("%.10g", median(v, k)) }
+        if (av[name, 1] != "") { for (i = 1; i <= k; i++) v[i] = av[name, i] + 0; allocs = sprintf("%.10g", median(v, k)) }
+        if (n > 1) printf ",\n"
+        printf "    \"%s\": {\"ns_per_op\": %.10g, \"ns_min\": %.10g, \"ns_max\": %.10g, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
+            name, med, lo, hi, bytes, allocs
+    }
+    printf "\n  }\n}\n"
+}
 ' "$raw" > "$out"
 
 # 0-alloc gate: a service plan-cache hit (single-level or multilevel)
